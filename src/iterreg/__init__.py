@@ -1,6 +1,6 @@
 """Iterative regularization of convex-bias interpolation by primal-dual steps."""
 
-from .bias import Bias, BlockBias, L1, Nuclear, SqL2, Zero, soft_threshold
+from .bias import Bias, BlockBias, L1, Nuclear, SqL2, Zero, soft_threshold, subgradient_residual
 from .errors import (
     AssumptionViolated,
     BoundViolation,
@@ -17,9 +17,7 @@ from .linop import (
     LinearOperator,
     MaskOperator,
     StackedOperator,
-    dense_from_csv,
     identity,
-    mask_from_csv,
     op_norm,
     stack,
 )
@@ -44,6 +42,7 @@ from .pdsolver import (
     SolverConfig,
     certify,
     initial_state,
+    iterate,
     make_config,
     run,
     step,
@@ -58,6 +57,6 @@ from .problems import (
     tv_reformulate,
 )
 from .baseline import PathResult, TikhonovSolution, lambda_grid, lasso_path, solve_tikhonov
-from .stopping import StopRule, budget_stop, discrepancy_stop, oracle_stop
+from .stopping import budget_stop, discrepancy_stop, oracle_stop
 
 __version__ = "0.1.0"

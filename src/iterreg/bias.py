@@ -1,8 +1,9 @@
 """Convex bias functionals with closed-form proximal maps.
 
 Each bias J is proper, convex, lower semicontinuous with J(0) = 0, and knows
-how to evaluate itself, compute prox_{tau J}, and check approximate
-subgradients. Biases are immutable; all methods are pure.
+how to evaluate itself and compute prox_{tau J}. Subgradient membership is
+measured for every bias by one prox fixed-point residual. Biases are
+immutable; all methods are pure.
 """
 
 from __future__ import annotations
@@ -11,12 +12,19 @@ import numpy as np
 
 from .errors import ContractViolation
 
-__all__ = ["Bias", "L1", "SqL2", "Nuclear", "Zero", "BlockBias", "soft_threshold"]
+__all__ = ["Bias", "L1", "SqL2", "Nuclear", "Zero", "BlockBias", "soft_threshold",
+           "subgradient_residual"]
 
 
 def soft_threshold(v, t):
     """Componentwise shrinkage; entries with |v_i| <= t map to 0."""
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+
+
+def subgradient_residual(J, w, g):
+    """||prox_{1 J}(w + g) - w||, which is zero exactly when g is in dJ(w)."""
+    w = np.asarray(w, dtype=float)
+    return float(np.linalg.norm(J.prox(1.0, w + np.asarray(g, dtype=float)) - w))
 
 
 def _check_tau(tau):
@@ -34,10 +42,6 @@ class Bias:
         """argmin_w 0.5*||w - v||^2 + tau*J(w)."""
         raise NotImplementedError
 
-    def subgradient_check(self, w, g, tol=1e-8):
-        """True iff g is within tol of the subdifferential of J at w."""
-        raise NotImplementedError
-
 
 class L1(Bias):
     """J(w) = sum_i |w_i|; prox is componentwise soft-thresholding."""
@@ -51,16 +55,6 @@ class L1(Bias):
         if tau == 0:
             return v.copy()
         return soft_threshold(v, tau)
-
-    def subgradient_check(self, w, g, tol=1e-8):
-        w = np.asarray(w, dtype=float)
-        g = np.asarray(g, dtype=float)
-        if w.shape != g.shape:
-            raise ContractViolation("subgradient_check: shape mismatch")
-        if np.any(np.abs(g) > 1.0 + tol):
-            return False
-        active = np.abs(w) > tol
-        return bool(np.all(np.abs(g[active] - np.sign(w[active])) <= tol))
 
     def __repr__(self):
         return "L1()"
@@ -85,13 +79,6 @@ class SqL2(Bias):
         _check_tau(tau)
         v = np.asarray(v, dtype=float)
         return v / (1.0 + 2.0 * self.scale * tau)
-
-    def subgradient_check(self, w, g, tol=1e-8):
-        w = np.asarray(w, dtype=float)
-        g = np.asarray(g, dtype=float)
-        if w.shape != g.shape:
-            raise ContractViolation("subgradient_check: shape mismatch")
-        return bool(np.linalg.norm(g - 2.0 * self.scale * w) <= tol)
 
     def __repr__(self):
         return f"SqL2(scale={self.scale})"
@@ -123,13 +110,6 @@ class Nuclear(Bias):
         U, s, Vt = np.linalg.svd(V, full_matrices=False)
         return ((U * np.maximum(s - tau, 0.0)) @ Vt).ravel()
 
-    def subgradient_check(self, w, g, tol=1e-8):
-        w = np.asarray(w, dtype=float)
-        g = np.asarray(g, dtype=float)
-        if w.shape != g.shape:
-            raise ContractViolation("subgradient_check: shape mismatch")
-        return bool(np.linalg.norm(self.prox(1.0, w + g) - w) <= tol)
-
     def __repr__(self):
         return f"Nuclear({self.p1}, {self.p2})"
 
@@ -143,9 +123,6 @@ class Zero(Bias):
     def prox(self, tau, v):
         _check_tau(tau)
         return np.asarray(v, dtype=float).copy()
-
-    def subgradient_check(self, w, g, tol=1e-8):
-        return bool(np.linalg.norm(np.asarray(g, dtype=float)) <= tol)
 
     def __repr__(self):
         return "Zero()"
@@ -186,11 +163,6 @@ class BlockBias(Bias):
         _check_tau(tau)
         v = self._split_check(v, "block prox")
         return np.concatenate([b.prox(tau, v[s:e]) for b, s, e in self.parts])
-
-    def subgradient_check(self, w, g, tol=1e-8):
-        w = self._split_check(w, "block subgradient_check")
-        g = self._split_check(g, "block subgradient_check")
-        return all(b.subgradient_check(w[s:e], g[s:e], tol) for b, s, e in self.parts)
 
     def __repr__(self):
         return f"BlockBias({list(self.parts)!r})"

@@ -37,19 +37,25 @@ def _common(parser, default_out):
     parser.add_argument("--replicates", type=int, default=10)
 
 
-def _sparse_flags(parser):
-    parser.add_argument("--n", type=int, default=200)
-    parser.add_argument("--p", type=int, default=500)
-    parser.add_argument("--s", type=int, default=75)
-    parser.add_argument("--corr", type=float, default=0.2)
+def _problem_flags(parser, *kinds):
+    """Generator flags of the named problem kinds, plus their shared --y-norm."""
+    if "sparse" in kinds:
+        parser.add_argument("--n", type=int, default=200)
+        parser.add_argument("--p", type=int, default=500)
+        parser.add_argument("--s", type=int, default=75)
+        parser.add_argument("--corr", type=float, default=0.2)
+    if "matcomp" in kinds:
+        parser.add_argument("--d", type=int, default=20)
+        parser.add_argument("--rank", type=int, default=5)
+        parser.add_argument("--obs-denom", type=int, default=5)
     parser.add_argument("--y-norm", type=float, default=20.0)
 
 
-def _matcomp_flags(parser):
-    parser.add_argument("--d", type=int, default=20)
-    parser.add_argument("--rank", type=int, default=5)
-    parser.add_argument("--obs-denom", type=int, default=5)
-    parser.add_argument("--y-norm", type=float, default=20.0)
+def _problem_params(args, kind):
+    """Generator parameters of a ``kind`` problem, read from the parsed flags."""
+    if kind == "sparse":
+        return dict(n=args.n, p=args.p, s=args.s, corr=args.corr, y_norm=args.y_norm)
+    return dict(d=args.d, r=args.rank, obs_frac_denom=args.obs_denom, y_norm=args.y_norm)
 
 
 def build_parser():
@@ -58,35 +64,25 @@ def build_parser():
         description="Early-stopped primal-dual solving of convex-bias interpolation problems")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="run the iteration on a problem and log diagnostics")
-    _common(p, "out/solve")
-    p.add_argument("--problem", choices=("sparse", "matcomp"), default="sparse")
-    p.add_argument("--load", default=None, help="load a problem directory instead of generating")
-    _sparse_flags(p)
-    p.add_argument("--d", type=int, default=20)
-    p.add_argument("--rank", type=int, default=5)
-    p.add_argument("--obs-denom", type=int, default=5)
-
-    p = sub.add_parser("certify", help="certify the clean saddle pair of a problem")
-    _common(p, "out/certify")
-    p.add_argument("--problem", choices=("sparse", "matcomp"), default="sparse")
-    p.add_argument("--load", default=None)
-    _sparse_flags(p)
-    p.add_argument("--d", type=int, default=20)
-    p.add_argument("--rank", type=int, default=5)
-    p.add_argument("--obs-denom", type=int, default=5)
+    for name, help_ in (("solve", "run the iteration on a problem and log diagnostics"),
+                        ("certify", "certify the clean saddle pair of a problem")):
+        p = sub.add_parser(name, help=help_)
+        _common(p, f"out/{name}")
+        p.add_argument("--problem", choices=("sparse", "matcomp"), default="sparse")
+        p.add_argument("--load", default=None, help="load a problem directory instead of generating")
+        _problem_flags(p, "sparse", "matcomp")
 
     p = sub.add_parser("semiconv", help="distance curves of noisy sparse-recovery runs")
     _common(p, "out/semiconv")
-    _sparse_flags(p)
+    _problem_flags(p, "sparse")
 
     p = sub.add_parser("stoptime", help="oracle stopping time versus noise level")
     _common(p, "out/stoptime")
-    _sparse_flags(p)
+    _problem_flags(p, "sparse")
 
     p = sub.add_parser("bounds", help="check measured gap/residual against their bounds")
     _common(p, "out/bounds")
-    _sparse_flags(p)
+    _problem_flags(p, "sparse")
     p.add_argument("--bound-eps", type=float, action="append", default=None,
                    help="epsilon values to sweep (repeatable)")
 
@@ -107,7 +103,7 @@ def build_parser():
 
     p = sub.add_parser("matcomp", help="semiconvergence for nuclear-norm completion")
     _common(p, "out/matcomp")
-    _matcomp_flags(p)
+    _problem_flags(p, "matcomp")
 
     p = sub.add_parser("tv-demo", help="total-variation inpainting demo")
     _common(p, "out/tvdemo")
@@ -130,44 +126,27 @@ def _dispatch(args):
     cmd = args.command
     if cmd in ("solve", "certify"):
         problem = {"kind": args.problem}
-        if args.load:
-            problem["load"] = args.load
-        elif args.problem == "sparse":
-            problem.update(n=args.n, p=args.p, s=args.s, corr=args.corr, y_norm=args.y_norm)
-        else:
-            problem.update(d=args.d, r=args.rank, obs_frac_denom=args.obs_denom)
+        problem.update({"load": args.load} if args.load else _problem_params(args, args.problem))
         spec = _spec_from_args(args, cmd, problem)
         return run_solve(spec) if cmd == "solve" else run_certify(spec)
     if cmd == "semiconv":
-        spec = _spec_from_args(args, "semiconv",
-                               dict(n=args.n, p=args.p, s=args.s, corr=args.corr,
-                                    y_norm=args.y_norm))
-        return run_semiconv(spec)
+        return run_semiconv(_spec_from_args(args, cmd, _problem_params(args, "sparse")))
     if cmd == "stoptime":
-        spec = _spec_from_args(args, "stoptime",
-                               dict(n=args.n, p=args.p, s=args.s, corr=args.corr,
-                                    y_norm=args.y_norm))
-        return run_stoptime(spec)
+        return run_stoptime(_spec_from_args(args, cmd, _problem_params(args, "sparse")))
     if cmd == "bounds":
-        spec = _spec_from_args(args, "bounds",
-                               dict(n=args.n, p=args.p, s=args.s, corr=args.corr,
-                                    y_norm=args.y_norm))
+        spec = _spec_from_args(args, cmd, _problem_params(args, "sparse"))
         eps_list = tuple(args.bound_eps) if args.bound_eps else (0.25, 0.5, 0.9)
         return run_bounds(spec, eps_list=eps_list)
     if cmd == "pathcmp":
-        spec = _spec_from_args(args, "pathcmp",
-                               dict(n=args.n, p=args.p, s=args.s, corr=args.corr,
-                                    y_norm=args.y_norm, delta=args.noise,
+        spec = _spec_from_args(args, cmd,
+                               dict(_problem_params(args, "sparse"), delta=args.noise,
                                     folds=args.folds, grid_count=args.grid_count,
                                     grid_span=args.grid_span, lasso_tol=args.lasso_tol,
                                     lasso_max_iter=args.lasso_max_iter,
                                     cp_iters=args.cp_iters))
         return run_pathcmp(spec)
     if cmd == "matcomp":
-        spec = _spec_from_args(args, "matcomp",
-                               dict(d=args.d, r=args.rank, obs_frac_denom=args.obs_denom,
-                                    y_norm=args.y_norm))
-        return run_matcomp(spec)
+        return run_matcomp(_spec_from_args(args, cmd, _problem_params(args, "matcomp")))
     if cmd == "tv-demo":
         spec = _spec_from_args(args, "tvdemo",
                                dict(p1=args.p1, p2=args.p2, obs_frac=args.obs_frac))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,7 @@ from .bias import L1, Nuclear
 from .errors import BoundViolation, ContractViolation
 from .linop import DenseOperator, Grad2D, MaskOperator
 from .metrics import BoundInputs, stability_feas_bound, stability_gap_bound, weighted_v
-from .pdsolver import CSV_VERSION, certify, initial_state, make_config, run, step
+from .pdsolver import CSV_VERSION, certify, iterate, make_config, run
 from .problems import add_noise, gen_matcomp, gen_sparse, load_problem, save_problem, tv_reformulate
 from .stopping import oracle_stop
 from .svgplot import line_chart
@@ -77,23 +77,23 @@ def write_csv(path, columns, rows):
                              for v in row])
 
 
-def _sparse_problem(spec):
+def _sparse_problem(seed, problem):
     params = {"n": 200, "p": 500, "s": 75, "corr": 0.2, "y_norm": 20.0}
-    params.update(spec.problem)
-    return gen_sparse(seed=spec.seed, **params)
+    params.update(problem)
+    return gen_sparse(seed=seed, **params)
 
 
-def _matcomp_problem(spec):
+def _matcomp_problem(seed, problem):
     params = {"d": 20, "r": 5, "obs_frac_denom": 5, "y_norm": 20.0}
-    params.update(spec.problem)
-    return gen_matcomp(seed=spec.seed, **params)
+    params.update(problem)
+    return gen_matcomp(seed=seed, **params)
 
 
-def _distance_curves(spec, prob, J, noise_support=None, cert_kwargs=None):
+def _distance_curves(spec, prob, J, noise_support=None):
     """Shared semiconvergence machinery: noisy runs against a clean certificate."""
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     cert = certify(prob.X, J, prob.y, cfg=make_config(prob.X, max_iter=500_000),
-                   check_every=100, **(cert_kwargs or {}))
+                   check_every=100)
     cfg = make_config(prob.X, epsilon=spec.eps, max_iter=spec.max_iter,
                       record_every=spec.record_every)
     curve_rows, summary_rows, svg_series, svg_marks = [], [], [], []
@@ -146,9 +146,8 @@ def _distance_curves(spec, prob, J, noise_support=None, cert_kwargs=None):
 
 def run_semiconv(spec):
     """Distance-to-reference curves for noisy sparse-recovery runs."""
-    if not spec.deltas:
-        spec.deltas = (0.6, 1.2, 2.4)
-    prob = _sparse_problem(spec)
+    spec = replace(spec, deltas=spec.deltas or (0.6, 1.2, 2.4))
+    prob = _sparse_problem(spec.seed, spec.problem)
     return _distance_curves(spec, prob, L1())
 
 
@@ -159,9 +158,8 @@ def run_matcomp(spec):
     cannot influence any iterate, so the perturbation is drawn on the
     observed entries only.
     """
-    if not spec.deltas:
-        spec.deltas = (2.0, 4.0, 8.0)
-    prob = _matcomp_problem(spec)
+    spec = replace(spec, deltas=spec.deltas or (2.0, 4.0, 8.0))
+    prob = _matcomp_problem(spec.seed, spec.problem)
     d = prob.params["d"]
     assert isinstance(prob.X, MaskOperator)
     return _distance_curves(spec, prob, Nuclear(d, d), noise_support=prob.X.gain)
@@ -169,10 +167,9 @@ def run_matcomp(spec):
 
 def run_stoptime(spec):
     """Oracle stopping time versus noise level, with a straight-line fit."""
-    if not spec.deltas:
-        spec.deltas = tuple(np.linspace(0.1, 6.0, 20))
+    spec = replace(spec, deltas=spec.deltas or tuple(np.linspace(0.1, 6.0, 20)))
     spec.out_dir.mkdir(parents=True, exist_ok=True)
-    prob = _sparse_problem(spec)
+    prob = _sparse_problem(spec.seed, spec.problem)
     J = L1()
     cert = certify(prob.X, J, prob.y, cfg=make_config(prob.X, max_iter=500_000),
                    check_every=100)
@@ -232,10 +229,9 @@ def run_bounds(spec, eps_list=(0.25, 0.5, 0.9)):
     Writes one CSV per (epsilon, delta, replicate) and raises BoundViolation
     if any measurement exceeds its bound by more than 1e-8 relative.
     """
-    if not spec.deltas:
-        spec.deltas = (0.0,)
+    spec = replace(spec, deltas=spec.deltas or (0.0,))
     spec.out_dir.mkdir(parents=True, exist_ok=True)
-    prob = _sparse_problem(spec)
+    prob = _sparse_problem(spec.seed, spec.problem)
     J = L1()
     cert = certify(prob.X, J, prob.y, cfg=make_config(prob.X, max_iter=500_000),
                    check_every=100)
@@ -319,11 +315,8 @@ def run_pathcmp(spec):
         path.write_csv(spec.out_dir / f"pathcmp_lasso_fold{f}.csv")
 
         cfg = make_config(X_tr, epsilon=spec.eps, max_iter=params["cp_iters"])
-        state = initial_state(X_tr)
-        cp_mse[f, 0] = float(np.mean((X_te @ state.w - y_te) ** 2))
-        for k in range(1, params["cp_iters"] + 1):
-            state = step(state, X_tr, J, y_tr, cfg)
-            cp_mse[f, k] = float(np.mean((X_te @ state.w - y_te) ** 2))
+        for state in iterate(X_tr, J, y_tr, cfg):
+            cp_mse[f, state.k] = float(np.mean((X_te @ state.w - y_te) ** 2))
     lasso_iters /= params["folds"]
     lasso_mean = lasso_mse.mean(axis=0)
     cp_mean = cp_mse.mean(axis=0)
@@ -430,26 +423,23 @@ def run_certify(spec):
 
 
 def _problem_for_cli(spec):
-    kind = spec.problem.get("kind", "sparse")
-    if "load" in spec.problem:
-        prob = load_problem(spec.problem["load"])
+    """The loaded or generated problem named by ``spec.problem``, and its bias.
+
+    ``spec.problem`` holds ``kind`` (sparse or matcomp) and either ``load``, a
+    problem directory, or the generator parameters of that kind.
+    """
+    params = dict(spec.problem)
+    kind = params.pop("kind", "sparse")
+    if "load" in params:
+        prob = load_problem(params["load"])
         kind = prob.kind
     elif kind == "sparse":
-        prob = _sparse_problem(_strip(spec, ("n", "p", "s", "corr", "y_norm")))
+        prob = _sparse_problem(spec.seed, params)
     elif kind == "matcomp":
-        prob = _matcomp_problem(_strip(spec, ("d", "r", "obs_frac_denom", "y_norm")))
+        prob = _matcomp_problem(spec.seed, params)
     else:
         raise ContractViolation(f"unknown problem kind {kind!r}")
     if kind == "matcomp":
         d = prob.params["d"]
         return prob, Nuclear(d, d)
     return prob, L1()
-
-
-def _strip(spec, keys):
-    sub = ExperimentSpec(name=spec.name, out_dir=spec.out_dir, seed=spec.seed,
-                         eps=spec.eps, max_iter=spec.max_iter,
-                         record_every=spec.record_every, deltas=spec.deltas,
-                         replicates=spec.replicates,
-                         problem={k: v for k, v in spec.problem.items() if k in keys})
-    return sub

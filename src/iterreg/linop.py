@@ -22,8 +22,6 @@ __all__ = [
     "identity",
     "stack",
     "op_norm",
-    "dense_from_csv",
-    "mask_from_csv",
 ]
 
 
@@ -230,9 +228,6 @@ class StackedOperator(LinearOperator):
         self._row_off = np.concatenate([[0], np.cumsum(row_dims)])
         super().__init__(int(self._col_off[-1]), int(self._row_off[-1]))
 
-    def children(self):
-        return [blk for row in self.blocks for blk in row if blk is not None]
-
     def _apply(self, w):
         out = np.zeros(self.out_dim)
         for i, row in enumerate(self.blocks):
@@ -285,21 +280,3 @@ def op_norm(op, tol=1e-6, max_iter=1000, seed=0):
             return new_est
         est = new_est
     return est
-
-
-def dense_from_csv(path):
-    """Load a dense operator from CSV; rows index the output dimension."""
-    a = np.loadtxt(path, delimiter=",", ndmin=2, comments="#")
-    return DenseOperator(a)
-
-
-def mask_from_csv(path, p1, p2):
-    """Load a mask operator from a CSV of (i, j) observed index pairs."""
-    raw = np.loadtxt(path, delimiter=",", ndmin=2, comments="#")
-    if raw.size == 0:
-        pairs = []
-    else:
-        if raw.shape[1] != 2:
-            raise ContractViolation(f"mask CSV must have two columns, got {raw.shape[1]}")
-        pairs = [(int(i), int(j)) for i, j in raw]
-    return MaskOperator((p1, p2), pairs)

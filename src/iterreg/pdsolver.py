@@ -6,11 +6,12 @@ The update, from (w_k, theta_k, theta_{k-1}):
     theta_{k+1} = theta_k + sigma * (X w_{k+1} - y_obs)
 
 with w_0 and theta_0 = theta_{-1} given (all zero by default) and step sizes
-constrained by sigma * tau * ||X||^2 <= epsilon < 1. Running averages over
-w_1..w_k and theta_1..theta_k are maintained alongside, since the rate and
-stability guarantees attach to the averaged iterates.
+constrained by sigma * tau * ||X||^2 <= epsilon < 1.
 
-``run`` records per-iteration diagnostics into an :class:`IterateLog`;
+``iterate`` yields the states k = 0..max_iter and is the one loop over
+``step``. ``run`` records per-iteration diagnostics into an
+:class:`IterateLog`, including the averages over w_1..w_k and
+theta_1..theta_k that the rate and stability guarantees attach to;
 ``certify`` drives the iteration on clean data until the pair satisfies the
 saddle-point conditions (feasibility plus subgradient inclusion) at tight
 tolerances, producing the reference used by all gap and distance metrics.
@@ -23,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bias import subgradient_residual
 from .errors import CertificationFailure, ContractViolation, NumericalFailure
 from .linop import as_vector
 
@@ -32,6 +34,7 @@ __all__ = [
     "PdState",
     "initial_state",
     "step",
+    "iterate",
     "run",
     "certify",
     "SaddleCertificate",
@@ -47,16 +50,13 @@ CSV_VERSION = "# iterreg-csv v1"
 class SolverConfig:
     """Step sizes and iteration budget for one solver run.
 
-    ``seed`` is reserved for future randomized variants; the iteration itself
-    is deterministic. Use :func:`make_config` to derive valid step sizes from
-    an operator.
+    Use :func:`make_config` to derive valid step sizes from an operator.
     """
 
     epsilon: float
     tau: float
     sigma: float
     max_iter: int
-    seed: int = 0
     record_every: int = 1
 
     def __post_init__(self):
@@ -70,7 +70,7 @@ class SolverConfig:
             raise ContractViolation(f"record_every must be >= 1, got {self.record_every}")
 
 
-def make_config(X, epsilon=0.99, max_iter=5000, record_every=1, seed=0, tau=None, sigma=None):
+def make_config(X, epsilon=0.99, max_iter=5000, record_every=1, tau=None, sigma=None):
     """Build a SolverConfig whose steps satisfy sigma*tau*||X||^2 <= epsilon.
 
     The norm estimate is inflated by 1.01 so that power-iteration
@@ -88,7 +88,7 @@ def make_config(X, epsilon=0.99, max_iter=5000, record_every=1, seed=0, tau=None
     elif sigma is None:
         sigma = epsilon / (nu * nu * tau)
     cfg = SolverConfig(epsilon=float(epsilon), tau=float(tau), sigma=float(sigma),
-                       max_iter=int(max_iter), seed=int(seed), record_every=int(record_every))
+                       max_iter=int(max_iter), record_every=int(record_every))
     validate_config(cfg, X)
     return cfg
 
@@ -104,38 +104,20 @@ def validate_config(cfg, X):
 
 @dataclass
 class PdState:
-    """One primal-dual iterate plus running sums for the averaged iterates."""
+    """One primal-dual iterate and the image X w of its primal part."""
 
     w: np.ndarray
     theta: np.ndarray
     theta_prev: np.ndarray
     k: int
-    w_sum: np.ndarray
-    theta_sum: np.ndarray
     xw: np.ndarray
-    xw_sum: np.ndarray
-
-    @property
-    def w_avg(self):
-        return self.w.copy() if self.k == 0 else self.w_sum / self.k
-
-    @property
-    def theta_avg(self):
-        return self.theta.copy() if self.k == 0 else self.theta_sum / self.k
-
-    @property
-    def xw_avg(self):
-        return self.xw.copy() if self.k == 0 else self.xw_sum / self.k
 
 
 def initial_state(X, w0=None, theta0=None):
     """State at k = 0; defaults to the all-zero initialization."""
     w0 = np.zeros(X.in_dim) if w0 is None else as_vector(w0, X.in_dim, "w0").copy()
     theta0 = np.zeros(X.out_dim) if theta0 is None else as_vector(theta0, X.out_dim, "theta0").copy()
-    xw = X.apply(w0)
-    return PdState(w=w0, theta=theta0.copy(), theta_prev=theta0.copy(), k=0,
-                   w_sum=np.zeros_like(w0), theta_sum=np.zeros_like(theta0),
-                   xw=xw, xw_sum=np.zeros_like(theta0))
+    return PdState(w=w0, theta=theta0.copy(), theta_prev=theta0.copy(), k=0, xw=X.apply(w0))
 
 
 def step(state, X, J, y_obs, cfg):
@@ -145,10 +127,21 @@ def step(state, X, J, y_obs, cfg):
     theta_new = state.theta + cfg.sigma * (xw_new - y_obs)
     if not (np.all(np.isfinite(w_new)) and np.all(np.isfinite(theta_new))):
         raise NumericalFailure(f"non-finite iterate at iteration {state.k + 1}")
-    return PdState(
-        w=w_new, theta=theta_new, theta_prev=state.theta, k=state.k + 1,
-        w_sum=state.w_sum + w_new, theta_sum=state.theta_sum + theta_new,
-        xw=xw_new, xw_sum=state.xw_sum + xw_new)
+    return PdState(w=w_new, theta=theta_new, theta_prev=state.theta, k=state.k + 1, xw=xw_new)
+
+
+def iterate(X, J, y_obs, cfg, w0=None, theta0=None):
+    """Yield the states k = 0..cfg.max_iter of the iteration on ``y_obs``.
+
+    The step sizes are checked against X before the first state.
+    """
+    y_obs = as_vector(y_obs, X.out_dim, "y_obs")
+    validate_config(cfg, X)
+    state = initial_state(X, w0=w0, theta0=theta0)
+    yield state
+    for _ in range(cfg.max_iter):
+        state = step(state, X, J, y_obs, cfg)
+        yield state
 
 
 @dataclass(frozen=True)
@@ -236,7 +229,11 @@ class IterateLog:
 
 
 class _Recorder:
-    """Builds log rows; gap/bregman columns are raw Lagrangian differences."""
+    """Builds log rows; gap/bregman columns are raw Lagrangian differences.
+
+    With a reference it also keeps the running sums of w, theta and X w over
+    k >= 1 that the averaged columns read; ``add`` must see every state.
+    """
 
     def __init__(self, X, J, y_obs, reference):
         self.X, self.J, self.y_obs = X, J, y_obs
@@ -246,8 +243,22 @@ class _Recorder:
             self.j_star = J(reference.w_star)
             self.r_star = X.apply(reference.w_star) - self.y_clean
             self.g_ref = -X.adjoint(reference.theta_star)
+            self.w_sum = np.zeros(X.in_dim)
+            self.theta_sum = np.zeros(X.out_dim)
+            self.xw_sum = np.zeros(X.out_dim)
         else:
             self.y_clean = y_obs
+
+    def add(self, state):
+        if self.ref is not None and state.k > 0:
+            self.w_sum += state.w
+            self.theta_sum += state.theta
+            self.xw_sum += state.xw
+
+    def _averages(self, state):
+        if state.k == 0:
+            return state.w, state.theta, state.xw
+        return self.w_sum / state.k, self.theta_sum / state.k, self.xw_sum / state.k
 
     def row(self, state):
         xw = state.xw
@@ -257,7 +268,7 @@ class _Recorder:
         if self.ref is None:
             return LogRow(k=state.k, res_clean=res_clean, res_noisy=res_noisy, j_val=j_val)
         ref = self.ref
-        w_avg, theta_avg, xw_avg = state.w_avg, state.theta_avg, state.xw_avg
+        w_avg, theta_avg, xw_avg = self._averages(state)
         gap = (j_val + ref.theta_star @ (xw - self.y_clean)
                - self.j_star - state.theta @ self.r_star)
         gap_avg = (self.J(w_avg) + ref.theta_star @ (xw_avg - self.y_clean)
@@ -282,58 +293,41 @@ def run(X, J, y_obs, cfg, reference=None, w0=None, theta0=None):
     clamping.
     """
     y_obs = as_vector(y_obs, X.out_dim, "y_obs")
-    validate_config(cfg, X)
     rec = _Recorder(X, J, y_obs, reference)
-    state = initial_state(X, w0=w0, theta0=theta0)
     log = IterateLog()
-    log.append(rec.row(state))
-    for k in range(1, cfg.max_iter + 1):
-        state = step(state, X, J, y_obs, cfg)
-        if k % cfg.record_every == 0 or k == cfg.max_iter:
+    for state in iterate(X, J, y_obs, cfg, w0=w0, theta0=theta0):
+        rec.add(state)
+        if state.k % cfg.record_every == 0 or state.k == cfg.max_iter:
             log.append(rec.row(state))
     return log
 
 
-def subgradient_residual(X, J, w, theta):
-    """Prox fixed-point residual of -X^T theta as a subgradient of J at w."""
-    g = -X.adjoint(theta)
-    return float(np.linalg.norm(J.prox(1.0, w + g) - w))
-
-
-def certify(X, J, y, cfg=None, feas_tol=None, subgrad_tol=1e-6, max_iter=None,
-            check_every=50):
+def certify(X, J, y, cfg=None, feas_tol=None, subgrad_tol=1e-6, check_every=50):
     """Run on clean data until the saddle conditions hold; return the pair.
 
-    Defaults: feas_tol = 1e-9 * max(1, ||y||), subgrad_tol = 1e-6. Raises
-    :class:`CertificationFailure` with the best residuals achieved if the
-    tolerances are not reached within the iteration budget.
+    The conditions are checked every ``check_every`` iterations and at
+    ``cfg.max_iter``. Defaults: feas_tol = 1e-9 * max(1, ||y||), subgrad_tol =
+    1e-6. Raises :class:`CertificationFailure` with the best residuals
+    achieved if the tolerances are not reached within ``cfg.max_iter``.
     """
     y = as_vector(y, X.out_dim, "y")
     if cfg is None:
         cfg = make_config(X, max_iter=200_000)
-    if max_iter is None:
-        max_iter = cfg.max_iter
     if feas_tol is None:
         feas_tol = 1e-9 * max(1.0, float(np.linalg.norm(y)))
-    validate_config(cfg, X)
-
-    state = initial_state(X)
     best_feas, best_sub = np.inf, np.inf
-    for k in range(1, max_iter + 1):
-        state = step(state, X, J, y, cfg)
-        if k % check_every == 0 or k == max_iter:
-            feas = float(np.linalg.norm(state.xw - y))
-            sub = subgradient_residual(X, J, state.w, state.theta)
-            if feas < best_feas:
-                best_feas = feas
-            if sub < best_sub:
-                best_sub = sub
-            if feas <= feas_tol and sub <= subgrad_tol:
-                return SaddleCertificate(
-                    w_star=state.w.copy(), theta_star=state.theta.copy(),
-                    feas_res=feas, subgrad_res=sub, y=y.copy())
+    for state in iterate(X, J, y, cfg):
+        if state.k == 0 or (state.k % check_every and state.k != cfg.max_iter):
+            continue
+        feas = float(np.linalg.norm(state.xw - y))
+        sub = subgradient_residual(J, state.w, -X.adjoint(state.theta))
+        best_feas, best_sub = min(best_feas, feas), min(best_sub, sub)
+        if feas <= feas_tol and sub <= subgrad_tol:
+            return SaddleCertificate(
+                w_star=state.w.copy(), theta_star=state.theta.copy(),
+                feas_res=feas, subgrad_res=sub, y=y.copy())
     raise CertificationFailure(
-        f"no certificate within {max_iter} iterations: best feasibility "
+        f"no certificate within {cfg.max_iter} iterations: best feasibility "
         f"{best_feas:.3e} (tol {feas_tol:.3e}), best subgradient residual "
         f"{best_sub:.3e} (tol {subgrad_tol:.3e})",
         feas_res=best_feas, subgrad_res=best_sub)

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ContractViolation, RuleInapplicable
 
-__all__ = ["StopRule", "budget_stop", "discrepancy_stop", "oracle_stop"]
+__all__ = ["budget_stop", "discrepancy_stop", "oracle_stop"]
 
 
 def budget_stop(c, delta):
@@ -48,40 +47,3 @@ def oracle_stop(log):
     if best_k is None:
         raise ContractViolation("oracle stopping needs the dist_ref column")
     return best_k, best_d
-
-
-@dataclass(frozen=True)
-class StopRule:
-    """A stopping rule tag: budget(c), discrepancy(tau_d), or oracle."""
-
-    kind: str
-    c: float = 0.0
-    tau_d: float = 1.1
-
-    def __post_init__(self):
-        if self.kind not in ("budget", "discrepancy", "oracle"):
-            raise ContractViolation(f"unknown stop rule {self.kind!r}")
-        if self.kind == "budget" and self.c <= 0:
-            raise ContractViolation("budget rule needs c > 0")
-        if self.kind == "discrepancy" and self.tau_d < 1.0:
-            raise ContractViolation("discrepancy rule needs tau_d >= 1")
-
-    @classmethod
-    def budget(cls, c):
-        return cls(kind="budget", c=c)
-
-    @classmethod
-    def discrepancy(cls, tau_d=1.1):
-        return cls(kind="discrepancy", tau_d=tau_d)
-
-    @classmethod
-    def oracle(cls):
-        return cls(kind="oracle")
-
-    def stop_index(self, log, delta):
-        """Apply the rule to a recorded log; returns a k or None."""
-        if self.kind == "budget":
-            return budget_stop(self.c, delta)
-        if self.kind == "discrepancy":
-            return discrepancy_stop(log, self.tau_d, delta)
-        return oracle_stop(log)[0]

@@ -3,7 +3,16 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from iterreg import BlockBias, ContractViolation, L1, Nuclear, SqL2, Zero, soft_threshold
+from iterreg import (
+    BlockBias,
+    ContractViolation,
+    L1,
+    Nuclear,
+    SqL2,
+    Zero,
+    soft_threshold,
+    subgradient_residual,
+)
 
 ALL_KINDS = [
     (L1(), 6),
@@ -64,22 +73,36 @@ class TestProx:
             Nuclear(2, 2).prox(1.0, np.zeros(5))
 
 
+def is_subgradient(J, w, g, tol=1e-8):
+    return subgradient_residual(J, w, g) <= tol
+
+
 class TestSubgradientCheck:
     def test_l1_valid(self):
-        assert L1().subgradient_check(np.array([1.0, 0.0]), np.array([1.0, 0.3]))
+        assert is_subgradient(L1(), [1.0, 0.0], [1.0, 0.3])
 
     def test_l1_invalid_active_component(self):
-        assert not L1().subgradient_check(np.array([1.0, 0.0]), np.array([0.5, 0.0]))
+        assert not is_subgradient(L1(), [1.0, 0.0], [0.5, 0.0])
 
     def test_l1_invalid_above_one(self):
-        assert not L1().subgradient_check(np.array([0.0, 0.0]), np.array([1.5, 0.0]))
+        assert not is_subgradient(L1(), [0.0, 0.0], [1.5, 0.0])
 
     def test_sq_l2_gradient(self):
-        assert SqL2(0.5).subgradient_check(np.array([2.0, 0.0]), np.array([2.0, 0.0]))
+        assert is_subgradient(SqL2(0.5), [2.0, 0.0], [2.0, 0.0])
+        assert not is_subgradient(SqL2(0.5), [2.0, 0.0], [1.0, 0.0])
 
     def test_zero_bias(self):
-        assert Zero().subgradient_check(np.ones(3), np.zeros(3))
-        assert not Zero().subgradient_check(np.ones(3), np.array([0.1, 0.0, 0.0]))
+        assert is_subgradient(Zero(), np.ones(3), np.zeros(3))
+        assert not is_subgradient(Zero(), np.ones(3), [0.1, 0.0, 0.0])
+
+    def test_nuclear_and_block(self):
+        # diag(1, 0) has subdifferential diag(1, t) with |t| <= 1
+        w = np.diag([1.0, 0.0]).ravel()
+        assert is_subgradient(Nuclear(2, 2), w, np.diag([1.0, 0.5]).ravel())
+        assert not is_subgradient(Nuclear(2, 2), w, np.diag([1.0, 1.5]).ravel())
+        J = BlockBias([(Zero(), 0, 2), (L1(), 2, 4)])
+        assert is_subgradient(J, [5.0, -3.0, 1.0, 0.0], [0.0, 0.0, 1.0, -0.4])
+        assert not is_subgradient(J, [5.0, -3.0, 1.0, 0.0], [0.2, 0.0, 1.0, -0.4])
 
 
 def _firmly_nonexpansive(J, tau, u, v):
@@ -112,7 +135,7 @@ def test_prox_fixed_point_subgradient():
             for _ in range(10):
                 v = rng.standard_normal(dim) * 3.0
                 p = J.prox(tau, v)
-                assert J.subgradient_check(p, (v - p) / tau, tol=1e-8)
+                assert is_subgradient(J, p, (v - p) / tau, tol=1e-8)
 
 
 def test_svt_preserves_singular_subspaces():

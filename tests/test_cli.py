@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from iterreg import cli
+from iterreg import cli, gen_matcomp
 from iterreg.errors import AssumptionViolated, BoundViolation
 from iterreg.pdsolver import CSV_VERSION
 
@@ -22,6 +22,21 @@ def test_solve_sparse(tmp_path, capsys):
     summary = json.loads(out)
     assert summary["iterations"] == 150
     assert (tmp_path / "s" / "log.csv").exists()
+
+
+def test_matcomp_problem_takes_y_norm(tmp_path, capsys):
+    flags = ("--problem", "matcomp", "--d", "4", "--rank", "1", "--obs-denom", "2",
+             "--y-norm", "5")
+    rc, _ = run_cli(capsys, "solve", *flags, "--max-iter", "10", "--out", str(tmp_path / "s"))
+    assert rc == 0
+    meta = json.loads((tmp_path / "s" / "problem" / "meta.json").read_text())
+    assert meta["params"]["y_norm"] == 5.0
+    rc, _ = run_cli(capsys, "certify", *flags, "--max-iter", "200000",
+                    "--out", str(tmp_path / "c"))
+    assert rc == 0
+    prob = gen_matcomp(d=4, r=1, obs_frac_denom=2, y_norm=5.0, seed=0)
+    w = np.loadtxt(tmp_path / "c" / "cert_w.csv", delimiter=",")
+    assert np.allclose(prob.X.apply(w), prob.y, atol=1e-6)
 
 
 def test_solve_then_certify_loaded_problem(tmp_path, capsys):

@@ -50,6 +50,18 @@ def test_spec_validation(tmp_path):
         ExperimentSpec(name="x", out_dir=tmp_path, deltas=(-1.0,))
 
 
+@pytest.mark.parametrize("runner, problem", [
+    (run_semiconv, TINY_SPARSE),
+    (run_stoptime, TINY_SPARSE),
+    (run_bounds, TINY_SPARSE),
+    (run_matcomp, {"d": 6, "r": 2, "obs_frac_denom": 3, "y_norm": 6.0}),
+])
+def test_default_deltas_leave_spec_unchanged(tmp_path, runner, problem):
+    spec = spec_for(tmp_path, runner.__name__, replicates=1, max_iter=20, problem=problem)
+    runner(spec)
+    assert spec.deltas == ()
+
+
 def test_semiconv_outputs_and_summary(tmp_path):
     spec = spec_for(tmp_path, "semiconv", deltas=(0.4, 0.8), problem=TINY_SPARSE)
     summary = run_semiconv(spec)

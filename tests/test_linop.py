@@ -8,9 +8,7 @@ from iterreg import (
     DenseOperator,
     Grad2D,
     MaskOperator,
-    dense_from_csv,
     identity,
-    mask_from_csv,
     op_norm,
     stack,
 )
@@ -171,15 +169,3 @@ def test_as_matrix_matches_apply():
         m = op.as_matrix()
         w = rng.standard_normal(op.in_dim)
         assert np.allclose(m @ w, op.apply(w), atol=1e-12)
-
-
-def test_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(2)
-    a = rng.standard_normal((3, 4))
-    np.savetxt(tmp_path / "X.csv", a, delimiter=",")
-    op = dense_from_csv(tmp_path / "X.csv")
-    assert np.allclose(op.matrix, a)
-
-    (tmp_path / "mask.csv").write_text("0,1\n2,3\n")
-    mop = mask_from_csv(tmp_path / "mask.csv", 3, 4)
-    assert mop.observed == ((0, 1), (2, 3))

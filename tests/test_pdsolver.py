@@ -9,13 +9,16 @@ from iterreg import (
     L1,
     LogRow,
     NumericalFailure,
+    SaddleCertificate,
     SolverConfig,
     certify,
     identity,
     initial_state,
+    iterate,
     make_config,
     run,
     step,
+    subgradient_residual,
 )
 from iterreg.metrics import BoundInputs, stability_feas_bound, stability_gap_bound, weighted_v
 
@@ -79,12 +82,19 @@ class TestStep:
         assert st.theta[0] == pytest.approx(-1.0)
         assert st.k == 2
 
-    def test_initial_state_invariants(self):
-        X = identity(3)
-        st = initial_state(X, w0=[1.0, 2.0, 3.0], theta0=[4.0, 5.0, 6.0])
+    def test_initial_state_invariants(self, tiny_bp, tiny_bp_cert):
+        X, J, y = tiny_bp
+        w0, theta0 = [1.0, 2.0, 3.0], [4.0, 5.0]
+        st = initial_state(X, w0=w0, theta0=theta0)
         assert st.k == 0
         assert np.array_equal(st.theta, st.theta_prev)
-        assert np.array_equal(st.w_avg, st.w)
+        assert np.array_equal(st.xw, X.apply(w0))
+        # at k = 0 the averaged columns read the initial point itself
+        cfg = make_config(X, max_iter=0)
+        (row,) = run(X, J, y, cfg, reference=tiny_bp_cert, w0=w0, theta0=theta0).rows
+        assert row.dist_avg_ref == row.dist_ref
+        assert row.res_avg_clean == row.res_clean
+        assert row.gap_avg == row.gap
 
     def test_non_finite_raises_with_iteration(self):
         X, J = identity(2), L1()
@@ -98,18 +108,21 @@ class TestStep:
         rng = np.random.default_rng(8)
         X = DenseOperator(rng.standard_normal((3, 5)))
         J = L1()
-        y = rng.standard_normal(3)
-        cfg = make_config(X, epsilon=0.9, max_iter=60)
-        st = initial_state(X)
-        ws, thetas = [], []
-        for _ in range(60):
-            st = step(st, X, J, y, cfg)
-            ws.append(st.w.copy())
-            thetas.append(st.theta.copy())
-        w_mean = np.mean(ws, axis=0)
-        th_mean = np.mean(thetas, axis=0)
-        assert np.linalg.norm(st.w_avg - w_mean) <= 1e-12 * (1 + np.linalg.norm(w_mean))
-        assert np.linalg.norm(st.theta_avg - th_mean) <= 1e-12 * (1 + np.linalg.norm(th_mean))
+        y_clean = rng.standard_normal(3)
+        y = y_clean + 0.1 * rng.standard_normal(3)
+        ref = SaddleCertificate(w_star=rng.standard_normal(5), theta_star=rng.standard_normal(3),
+                                feas_res=0.0, subgrad_res=0.0, y=y_clean)
+        cfg = make_config(X, epsilon=0.9, max_iter=60, record_every=7)
+        states = list(iterate(X, J, y, cfg))
+        log = run(X, J, y, cfg, reference=ref)
+        assert list(log.ks()) == [0, 7, 14, 21, 28, 35, 42, 49, 56, 60]
+        for row in log.rows[1:]:
+            w_mean = np.mean([s.w for s in states[1:row.k + 1]], axis=0)
+            xw_mean = np.mean([s.xw for s in states[1:row.k + 1]], axis=0)
+            dist = np.linalg.norm(w_mean - ref.w_star)
+            res = np.linalg.norm(xw_mean - y_clean)
+            assert row.dist_avg_ref == pytest.approx(dist, rel=1e-12, abs=1e-14)
+            assert row.res_avg_clean == pytest.approx(res, rel=1e-12, abs=1e-14)
 
     def test_theta_is_scaled_residual_sum(self):
         rng = np.random.default_rng(9)
@@ -123,6 +136,29 @@ class TestStep:
             st = step(st, X, J, y, cfg)
             acc += X.apply(st.w) - y
             assert np.linalg.norm(st.theta - cfg.sigma * acc) <= 1e-10 * (1 + np.linalg.norm(st.theta))
+
+
+class TestIterate:
+    def test_yields_every_k_up_to_the_budget(self, tiny_bp):
+        X, J, y = tiny_bp
+        for max_iter in (0, 1, 17):
+            cfg = make_config(X, max_iter=max_iter)
+            assert [s.k for s in iterate(X, J, y, cfg)] == list(range(max_iter + 1))
+
+    def test_matches_hand_steps(self, tiny_bp):
+        X, J, y = tiny_bp
+        cfg = make_config(X, max_iter=5)
+        st = initial_state(X)
+        for s in iterate(X, J, y, cfg):
+            assert s.k == st.k
+            assert np.array_equal(s.w, st.w) and np.array_equal(s.theta, st.theta)
+            st = step(st, X, J, y, cfg)
+
+    def test_checks_step_sizes(self):
+        X = identity(2)
+        cfg = SolverConfig(epsilon=0.5, tau=1.0, sigma=1.0, max_iter=3)
+        with pytest.raises(ContractViolation):
+            next(iterate(X, L1(), np.zeros(2), cfg))
 
 
 class TestRun:
@@ -180,7 +216,7 @@ class TestCertify:
         J = L1()
         cert = certify(X, J, y, cfg=make_config(X, max_iter=200_000), check_every=20)
         assert np.allclose(cert.w_star, y, atol=1e-7)
-        assert J.subgradient_check(cert.w_star, -X.adjoint(cert.theta_star), tol=1e-5)
+        assert subgradient_residual(J, cert.w_star, -X.adjoint(cert.theta_star)) <= 1e-5
 
     def test_tiny_bp_certificate_residuals(self, tiny_bp_cert):
         assert tiny_bp_cert.feas_res <= 1e-12
@@ -200,6 +236,11 @@ class TestCertify:
         with pytest.raises(CertificationFailure) as err:
             certify(X, L1(), y, cfg=make_config(X, max_iter=2000), check_every=10)
         assert err.value.feas_res > 0
+
+    def test_budget_exhaustion_names_max_iter(self, tiny_bp):
+        X, J, y = tiny_bp
+        with pytest.raises(CertificationFailure, match="within 37 iterations"):
+            certify(X, J, y, cfg=make_config(X, max_iter=37), check_every=10)
 
 
 class TestIterateLog:

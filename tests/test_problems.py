@@ -189,3 +189,6 @@ class TestSerialization:
         assert isinstance(back.X, MaskOperator)
         assert back.X.observed == prob.X.observed
         assert np.allclose(back.y, prob.y)
+        # mask.csv holds one observed (i, j) pair per line
+        (tmp_path / "mc" / "mask.csv").write_text("0,1\n2,3\n")
+        assert load_problem(tmp_path / "mc").X.observed == ((0, 1), (2, 3))

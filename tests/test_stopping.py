@@ -7,7 +7,6 @@ from iterreg import (
     IterateLog,
     LogRow,
     RuleInapplicable,
-    StopRule,
     budget_stop,
     discrepancy_stop,
     oracle_stop,
@@ -95,19 +94,3 @@ class TestOracle:
         log = make_log(dist=dist)
         _, d_star = oracle_stop(log)
         assert all(d_star <= d for d in dist)
-
-
-class TestStopRule:
-    def test_factories_and_dispatch(self):
-        log = make_log(res_noisy=[5.0, 0.5], dist=[2.0, 1.0])
-        assert StopRule.budget(2.0).stop_index(log, 0.5) == 4
-        assert StopRule.discrepancy(1.1).stop_index(log, 1.0) == 1
-        assert StopRule.oracle().stop_index(log, 0.0) == 1
-
-    def test_validation(self):
-        with pytest.raises(ContractViolation):
-            StopRule(kind="nope")
-        with pytest.raises(ContractViolation):
-            StopRule.budget(-1.0)
-        with pytest.raises(ContractViolation):
-            StopRule.discrepancy(0.5)
