@@ -7,14 +7,13 @@ solution is only reached at lam >= 2*||X^T y||_inf; the classical grid anchor
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bias import L1
 from .errors import ContractViolation
-from .pdsolver import CSV_VERSION
+from .pdsolver import write_csv
 
 __all__ = ["lambda_grid", "solve_tikhonov", "TikhonovSolution", "lasso_path", "PathResult"]
 
@@ -70,17 +69,10 @@ class PathResult:
     objectives: list
     converged: list
 
-    def nnz(self):
-        return [int(np.count_nonzero(w)) for w in self.solutions]
-
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            fh.write(CSV_VERSION + "\n")
-            writer = csv.writer(fh)
-            writer.writerow(["lambda", "inner_iters", "objective", "nnz"])
-            for lam, it, obj, w in zip(self.lambdas, self.inner_iters,
-                                       self.objectives, self.solutions):
-                writer.writerow([repr(lam), it, repr(obj), int(np.count_nonzero(w))])
+        write_csv(path, ("lambda", "inner_iters", "objective", "nnz"),
+                  ((lam, it, obj, int(np.count_nonzero(w))) for lam, it, obj, w
+                   in zip(self.lambdas, self.inner_iters, self.objectives, self.solutions)))
 
 
 def lasso_path(X, y, grid, tol=1e-8, max_iter=20000):

@@ -7,7 +7,6 @@ sequential, and output files are written once at the end.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -19,7 +18,7 @@ from .bias import L1, Nuclear
 from .errors import BoundViolation, ContractViolation
 from .linop import DenseOperator, Grad2D, MaskOperator
 from .metrics import BoundInputs, stability_feas_bound, stability_gap_bound, weighted_v
-from .pdsolver import CSV_VERSION, certify, iterate, make_config, run
+from .pdsolver import certify, iterate, make_config, run, write_csv
 from .problems import add_noise, gen_matcomp, gen_sparse, load_problem, save_problem, tv_reformulate
 from .stopping import oracle_stop
 from .svgplot import line_chart
@@ -66,17 +65,6 @@ def child_seed(base, *key):
     return int(ss.generate_state(1)[0])
 
 
-def write_csv(path, columns, rows):
-    """Write rows (iterables) under a header line and the schema version tag."""
-    with open(path, "w", newline="") as fh:
-        fh.write(CSV_VERSION + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow(["" if v is None else (repr(v) if isinstance(v, float) else v)
-                             for v in row])
-
-
 def _sparse_problem(seed, problem):
     params = {"n": 200, "p": 500, "s": 75, "corr": 0.2, "y_norm": 20.0}
     params.update(problem)
@@ -106,9 +94,9 @@ def _distance_curves(spec, prob, J, noise_support=None):
             ks = log.ks()
             dist = log.column("dist_ref")
             dist_avg = log.column("dist_avg_ref")
-            k_star, d_star = oracle_stop(log)
-            first, last = float(dist[0]), float(dist[-1])
             arg = int(np.argmin(dist))
+            k_star, d_star = int(ks[arg]), float(dist[arg])
+            first, last = float(dist[0]), float(dist[-1])
             interior = bool(0 < arg < len(dist) - 1
                             and d_star <= 0.99 * first and d_star <= 0.99 * last)
             margin = min(first, last) / d_star - 1.0 if d_star > 0 else np.inf

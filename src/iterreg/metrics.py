@@ -55,17 +55,16 @@ def gap(w, theta, cert, X, J, y):
         "the certificate does not behave like a saddle point")
 
 
-def bregman(J, w, w_ref, g_ref, check_tol=1e-6):
+def bregman(J, w, w_ref, g_ref):
     """D_J(w, w_ref) for the subgradient g_ref of J at w_ref.
 
-    Raises if the subgradient residual of g_ref at w_ref exceeds
-    ``check_tol``. The result is clamped to 0 when within 1e-10-scale noise
-    below zero.
+    Raises if the subgradient residual of g_ref at w_ref exceeds 1e-6. The
+    result is clamped to 0 when within 1e-10-scale noise below zero.
     """
     w = np.asarray(w, dtype=float)
     w_ref = np.asarray(w_ref, dtype=float)
     g_ref = np.asarray(g_ref, dtype=float)
-    if subgradient_residual(J, w_ref, g_ref) > check_tol:
+    if subgradient_residual(J, w_ref, g_ref) > 1e-6:
         raise ContractViolation("g_ref is not a subgradient of J at w_ref")
     jw, jr = J(w), J(w_ref)
     val = jw - jr - g_ref @ (w - w_ref)
@@ -149,14 +148,15 @@ class NormBoundData:
     x_norm: float
 
 
-def norm_bound_data(X, cert, active_tol=1e-6):
+def norm_bound_data(X, cert):
     """Extract the active column set and conditioning constants from a certificate.
 
-    Columns j with |<X_j, theta*>| >= 1 - active_tol form the active set; the
+    Columns j with |<X_j, theta*>| >= 1 - 1e-6 form the active set; the
     maximum correlation off the active set must stay below 1, and the active
     submatrix must be injective. Requires an l1 certificate (dual feasibility
     |X^T theta*|_inf <= 1).
     """
+    active_tol = 1e-6
     corr = np.abs(X.adjoint(cert.theta_star))
     if corr.size and float(corr.max()) > 1.0 + active_tol:
         raise CertificateInvalid(

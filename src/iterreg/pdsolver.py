@@ -5,7 +5,7 @@ The update, from (w_k, theta_k, theta_{k-1}):
     w_{k+1}     = prox_{tau J}( w_k - tau * X^T (2 theta_k - theta_{k-1}) )
     theta_{k+1} = theta_k + sigma * (X w_{k+1} - y_obs)
 
-with w_0 and theta_0 = theta_{-1} given (all zero by default) and step sizes
+with w_0 = 0 and theta_0 = theta_{-1} = 0, and step sizes
 constrained by sigma * tau * ||X||^2 <= epsilon < 1.
 
 ``iterate`` yields the states k = 0..max_iter and is the one loop over
@@ -41,9 +41,21 @@ __all__ = [
     "LogRow",
     "IterateLog",
     "CSV_VERSION",
+    "write_csv",
 ]
 
 CSV_VERSION = "# iterreg-csv v1"
+
+
+def write_csv(path, columns, rows):
+    """Write rows under the schema tag and a header; floats as repr, None empty."""
+    with open(path, "w", newline="") as fh:
+        fh.write(CSV_VERSION + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow(["" if v is None else (repr(v) if isinstance(v, float) else v)
+                             for v in row])
 
 
 @dataclass(frozen=True)
@@ -70,36 +82,18 @@ class SolverConfig:
             raise ContractViolation(f"record_every must be >= 1, got {self.record_every}")
 
 
-def make_config(X, epsilon=0.99, max_iter=5000, record_every=1, tau=None, sigma=None):
-    """Build a SolverConfig whose steps satisfy sigma*tau*||X||^2 <= epsilon.
+def make_config(X, epsilon=0.99, max_iter=5000, record_every=1):
+    """Build a SolverConfig with tau = sigma = sqrt(epsilon)/nu.
 
-    The norm estimate is inflated by 1.01 so that power-iteration
-    underestimation cannot break the step-size condition. By default the
-    symmetric choice tau = sigma = sqrt(epsilon)/nu is used; passing one of
-    tau/sigma derives the other from the equality sigma*tau*nu^2 = epsilon.
+    Here nu is 1.01 times the norm estimate of X, so that power-iteration
+    underestimation cannot break sigma*tau*||X||^2 <= epsilon.
     """
     nu = 1.01 * X.norm_est()
     if nu == 0.0:
         raise ContractViolation("cannot pick step sizes for the zero operator")
-    if tau is None and sigma is None:
-        tau = sigma = np.sqrt(epsilon) / nu
-    elif tau is None:
-        tau = epsilon / (nu * nu * sigma)
-    elif sigma is None:
-        sigma = epsilon / (nu * nu * tau)
-    cfg = SolverConfig(epsilon=float(epsilon), tau=float(tau), sigma=float(sigma),
-                       max_iter=int(max_iter), record_every=int(record_every))
-    validate_config(cfg, X)
-    return cfg
-
-
-def validate_config(cfg, X):
-    """Check sigma*tau*(1.01*||X||)^2 <= epsilon, with float slack."""
-    nu = 1.01 * X.norm_est()
-    if cfg.sigma * cfg.tau * nu * nu > cfg.epsilon * (1.0 + 1e-9):
-        raise ContractViolation(
-            f"step sizes violate sigma*tau*||X||^2 <= epsilon: "
-            f"{cfg.sigma * cfg.tau * nu * nu:.6g} > {cfg.epsilon}")
+    step_size = float(np.sqrt(epsilon) / nu)
+    return SolverConfig(epsilon=float(epsilon), tau=step_size, sigma=step_size,
+                        max_iter=int(max_iter), record_every=int(record_every))
 
 
 @dataclass
@@ -113,11 +107,10 @@ class PdState:
     xw: np.ndarray
 
 
-def initial_state(X, w0=None, theta0=None):
-    """State at k = 0; defaults to the all-zero initialization."""
-    w0 = np.zeros(X.in_dim) if w0 is None else as_vector(w0, X.in_dim, "w0").copy()
-    theta0 = np.zeros(X.out_dim) if theta0 is None else as_vector(theta0, X.out_dim, "theta0").copy()
-    return PdState(w=w0, theta=theta0.copy(), theta_prev=theta0.copy(), k=0, xw=X.apply(w0))
+def initial_state(X):
+    """The all-zero state at k = 0."""
+    return PdState(w=np.zeros(X.in_dim), theta=np.zeros(X.out_dim),
+                   theta_prev=np.zeros(X.out_dim), k=0, xw=np.zeros(X.out_dim))
 
 
 def step(state, X, J, y_obs, cfg):
@@ -130,14 +123,19 @@ def step(state, X, J, y_obs, cfg):
     return PdState(w=w_new, theta=theta_new, theta_prev=state.theta, k=state.k + 1, xw=xw_new)
 
 
-def iterate(X, J, y_obs, cfg, w0=None, theta0=None):
+def iterate(X, J, y_obs, cfg):
     """Yield the states k = 0..cfg.max_iter of the iteration on ``y_obs``.
 
-    The step sizes are checked against X before the first state.
+    Before the first state, the step sizes must satisfy
+    sigma*tau*(1.01*||X||)^2 <= epsilon, with float slack.
     """
     y_obs = as_vector(y_obs, X.out_dim, "y_obs")
-    validate_config(cfg, X)
-    state = initial_state(X, w0=w0, theta0=theta0)
+    nu = 1.01 * X.norm_est()
+    if cfg.sigma * cfg.tau * nu * nu > cfg.epsilon * (1.0 + 1e-9):
+        raise ContractViolation(
+            f"step sizes violate sigma*tau*||X||^2 <= epsilon: "
+            f"{cfg.sigma * cfg.tau * nu * nu:.6g} > {cfg.epsilon}")
+    state = initial_state(X)
     yield state
     for _ in range(cfg.max_iter):
         state = step(state, X, J, y_obs, cfg)
@@ -202,24 +200,18 @@ class IterateLog:
         return np.array([r.k for r in self.rows], dtype=int)
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            fh.write(CSV_VERSION + "\n")
-            writer = csv.writer(fh)
-            writer.writerow(LOG_COLUMNS)
-            for r in self.rows:
-                row = []
-                for c in LOG_COLUMNS:
-                    v = getattr(r, c)
-                    row.append("" if v is None else (v if c == "k" else repr(v)))
-                writer.writerow(row)
+        write_csv(path, LOG_COLUMNS, ([getattr(r, c) for c in LOG_COLUMNS] for r in self.rows))
 
     @classmethod
     def read_csv(cls, path):
+        """Read a log written by :meth:`write_csv`; the first line must be the schema tag."""
         log = cls()
         with open(path, newline="") as fh:
-            lines = [ln for ln in fh if not ln.startswith("#")]
-        reader = csv.DictReader(lines)
-        for rec in reader:
+            tag = fh.readline().rstrip("\r\n")
+            if tag != CSV_VERSION:
+                raise ContractViolation(f"{path}: first line {tag!r} is not {CSV_VERSION!r}")
+            records = list(csv.DictReader(fh))
+        for rec in records:
             vals = {c: (None if rec[c] == "" else float(rec[c])) for c in LOG_COLUMNS if c != "k"}
             log.append(LogRow(k=int(rec["k"]), **vals))
         return log
@@ -283,7 +275,7 @@ class _Recorder:
             gap_avg=float(gap_avg))
 
 
-def run(X, J, y_obs, cfg, reference=None, w0=None, theta0=None):
+def run(X, J, y_obs, cfg, reference=None):
     """Execute the iteration on ``y_obs`` and return the diagnostic log.
 
     Diagnostics are recorded at k = 0, every ``cfg.record_every`` iterations,
@@ -295,7 +287,7 @@ def run(X, J, y_obs, cfg, reference=None, w0=None, theta0=None):
     y_obs = as_vector(y_obs, X.out_dim, "y_obs")
     rec = _Recorder(X, J, y_obs, reference)
     log = IterateLog()
-    for state in iterate(X, J, y_obs, cfg, w0=w0, theta0=theta0):
+    for state in iterate(X, J, y_obs, cfg):
         rec.add(state)
         if state.k % cfg.record_every == 0 or state.k == cfg.max_iter:
             log.append(rec.row(state))

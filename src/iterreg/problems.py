@@ -184,10 +184,17 @@ def load_problem(in_dir):
         X = MaskOperator(tuple(meta["grid"]), [tuple(p) for p in pairs])
     else:
         raise ContractViolation(f"unknown operator kind {meta['operator']!r}")
-    y = np.loadtxt(src / "y.csv", delimiter=",")
-    y_delta = np.loadtxt(src / "y_delta.csv", delimiter=",")
     gt_path = src / "ground_truth.csv"
-    gt = np.loadtxt(gt_path, delimiter=",") if gt_path.exists() else None
-    return NoisyProblem(X=X, y=np.atleast_1d(y), y_delta=np.atleast_1d(y_delta),
-                        delta=float(meta["delta"]), ground_truth=gt,
+    return NoisyProblem(X=X, y=_load_vector(src / "y.csv", X.out_dim),
+                        y_delta=_load_vector(src / "y_delta.csv", X.out_dim),
+                        delta=float(meta["delta"]),
+                        ground_truth=_load_vector(gt_path, X.in_dim) if gt_path.exists() else None,
                         seed=int(meta["seed"]), kind=meta["kind"], params=meta["params"])
+
+
+def _load_vector(path, dim):
+    """The vector stored in ``path``; raises unless it has ``dim`` entries."""
+    v = np.atleast_1d(np.loadtxt(path, delimiter=","))
+    if v.shape != (dim,):
+        raise ContractViolation(f"{path}: expected {dim} entries, got shape {v.shape}")
+    return v

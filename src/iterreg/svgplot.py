@@ -11,6 +11,7 @@ __all__ = ["line_chart"]
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b", "#17becf")
 
+WIDTH, HEIGHT = 760, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 72, 18, 42, 54
 
 
@@ -40,8 +41,8 @@ def _fmt(v):
 
 
 def line_chart(path, series, title="", xlabel="", ylabel="", logx=False, logy=False,
-               width=760, height=480, markers=()):
-    """Write a line chart to ``path``.
+               markers=()):
+    """Write a WIDTH x HEIGHT line chart to ``path``.
 
     ``series`` is a list of (label, xs, ys); non-finite and non-positive (on
     log scales) points are dropped. ``markers`` is a list of (label, x, y)
@@ -50,16 +51,16 @@ def line_chart(path, series, title="", xlabel="", ylabel="", logx=False, logy=Fa
     data = [(label, _finite_pairs(xs, ys, logx, logy)) for label, xs, ys in series]
     pts = [p for _, pairs in data for p in pairs]
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" font-size="14">{escape(title)}</text>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif" font-size="12">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        f'<text x="{WIDTH / 2:.1f}" y="20" text-anchor="middle" font-size="14">{escape(title)}</text>',
     ]
-    x0, x1 = MARGIN_L, width - MARGIN_R
-    y0, y1 = height - MARGIN_B, MARGIN_T
+    x0, x1 = MARGIN_L, WIDTH - MARGIN_R
+    y0, y1 = HEIGHT - MARGIN_B, MARGIN_T
 
     if not pts:
-        parts.append(f'<text x="{width / 2:.1f}" y="{height / 2:.1f}" text-anchor="middle">no data</text>')
+        parts.append(f'<text x="{WIDTH / 2:.1f}" y="{HEIGHT / 2:.1f}" text-anchor="middle">no data</text>')
         parts.append("</svg>")
         with open(path, "w") as fh:
             fh.write("\n".join(parts))
@@ -102,7 +103,7 @@ def line_chart(path, series, title="", xlabel="", ylabel="", logx=False, logy=Fa
         parts.append(f'<text x="{x0 - 6}" y="{sy(ty) + 4:.1f}" text-anchor="end">{_fmt(ty)}</text>')
     parts.append(f'<rect x="{x0}" y="{y1}" width="{x1 - x0}" height="{y0 - y1}" '
                  'fill="none" stroke="#333333"/>')
-    parts.append(f'<text x="{(x0 + x1) / 2:.1f}" y="{height - 14}" text-anchor="middle">{escape(xlabel)}</text>')
+    parts.append(f'<text x="{(x0 + x1) / 2:.1f}" y="{HEIGHT - 14}" text-anchor="middle">{escape(xlabel)}</text>')
     parts.append(f'<text x="18" y="{(y0 + y1) / 2:.1f}" text-anchor="middle" '
                  f'transform="rotate(-90 18 {(y0 + y1) / 2:.1f})">{escape(ylabel)}</text>')
 

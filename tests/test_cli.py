@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from iterreg import cli, gen_matcomp
-from iterreg.errors import AssumptionViolated, BoundViolation
+from iterreg.errors import AssumptionViolated, BoundViolation, CertificationFailure
 from iterreg.pdsolver import CSV_VERSION
 
 
@@ -65,6 +65,10 @@ def test_tv_demo_command(tmp_path, capsys):
                       "--out", str(tmp_path / "tv"))
     assert rc == 0
     assert json.loads(out)["grad_residual"] <= 1e-6
+    rc = cli.main(["tv-demo", "--p1", "4", "--p2", "4", "--max-iter", "10",
+                   "--out", str(tmp_path / "tv10")])
+    assert rc == 1
+    assert "within 10 iterations" in capsys.readouterr().err
 
 
 def test_exit_code_assumption_violated(tmp_path, capsys, monkeypatch):
@@ -81,6 +85,14 @@ def test_exit_code_bound_violation(tmp_path, capsys, monkeypatch):
     assert rc == 3
 
 
+def test_library_error_is_one_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_certify",
+                        lambda spec: (_ for _ in ()).throw(CertificationFailure("no pair")))
+    rc = cli.main(["certify", "--out", str(tmp_path / "x")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: no pair\n"
+
+
 def test_all_output_csvs_carry_schema_version(tmp_path, capsys):
     rc, _ = run_cli(capsys, "stoptime", "--n", "30", "--p", "60", "--s", "5",
                     "--y-norm", "6", "--delta", "0.5", "--delta", "1.5",
@@ -94,3 +106,17 @@ def test_all_output_csvs_carry_schema_version(tmp_path, capsys):
 def test_parser_rejects_unknown_command():
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args(["frobnicate"])
+
+
+@pytest.mark.parametrize("argv", [
+    *[(cmd, flag, "1") for cmd in ("certify", "tv-demo")
+      for flag in ("--eps", "--record-every", "--delta", "--replicates")],
+    *[("pathcmp", flag, "1") for flag in ("--max-iter", "--record-every", "--delta", "--replicates")],
+    ("bounds", "--eps", "0.3"),
+    ("solve", "--replicates", "2"),
+    ("solve", "--delta", "1", "--delta", "2"),
+], ids=" ".join)
+def test_parser_rejects_flags_the_runner_does_not_read(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(list(argv))
+    assert exc.value.code == 2

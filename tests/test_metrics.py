@@ -189,7 +189,7 @@ class TestNormBound:
 
     def test_matches_exhaustive_column_scan(self, tiny_l1_problem, tiny_l1_cert):
         prob, cert = tiny_l1_problem, tiny_l1_cert
-        gd = norm_bound_data(prob.X, cert, active_tol=1e-6)
+        gd = norm_bound_data(prob.X, cert)
         corr = np.abs(prob.X.matrix.T @ cert.theta_star)
         scan = {j for j in range(prob.X.in_dim) if corr[j] >= 1 - 1e-6}
         assert set(gd.gamma_set) == scan

@@ -9,6 +9,7 @@ from iterreg import (
     L1,
     LogRow,
     NumericalFailure,
+    PdState,
     SaddleCertificate,
     SolverConfig,
     certify,
@@ -47,18 +48,6 @@ class TestConfig:
         assert cfg.sigma * cfg.tau * nu * nu == pytest.approx(0.5, rel=1e-9)
         assert cfg.tau == cfg.sigma
 
-    def test_derive_missing_step(self):
-        X = identity(3)
-        cfg = make_config(X, epsilon=0.5, sigma=0.2)
-        nu = 1.01 * X.norm_est()
-        assert cfg.sigma == 0.2
-        assert cfg.tau * cfg.sigma * nu * nu == pytest.approx(0.5, rel=1e-9)
-
-    def test_oversized_steps_rejected(self):
-        X = identity(2)
-        with pytest.raises(ContractViolation):
-            make_config(X, epsilon=0.5, tau=1.0, sigma=1.0)
-
 
 class TestStep:
     def cfg(self):
@@ -84,14 +73,16 @@ class TestStep:
 
     def test_initial_state_invariants(self, tiny_bp, tiny_bp_cert):
         X, J, y = tiny_bp
-        w0, theta0 = [1.0, 2.0, 3.0], [4.0, 5.0]
-        st = initial_state(X, w0=w0, theta0=theta0)
+        st = initial_state(X)
         assert st.k == 0
-        assert np.array_equal(st.theta, st.theta_prev)
-        assert np.array_equal(st.xw, X.apply(w0))
+        assert np.array_equal(st.w, np.zeros(3))
+        assert np.array_equal(st.theta, np.zeros(2))
+        assert np.array_equal(st.theta_prev, np.zeros(2))
+        assert np.array_equal(st.xw, X.apply(st.w))
         # at k = 0 the averaged columns read the initial point itself
         cfg = make_config(X, max_iter=0)
-        (row,) = run(X, J, y, cfg, reference=tiny_bp_cert, w0=w0, theta0=theta0).rows
+        (row,) = run(X, J, y, cfg, reference=tiny_bp_cert).rows
+        assert row.dist_ref == np.linalg.norm(tiny_bp_cert.w_star)
         assert row.dist_avg_ref == row.dist_ref
         assert row.res_avg_clean == row.res_clean
         assert row.gap_avg == row.gap
@@ -225,8 +216,8 @@ class TestCertify:
     def test_certificate_is_step_fixed_point(self, tiny_bp, tiny_bp_cert):
         X, J, y = tiny_bp
         cfg = make_config(X, epsilon=0.9)
-        st = initial_state(X, w0=tiny_bp_cert.w_star, theta0=tiny_bp_cert.theta_star)
-        st = step(st, X, J, y, cfg)
+        w, theta = tiny_bp_cert.w_star, tiny_bp_cert.theta_star
+        st = step(PdState(w=w, theta=theta, theta_prev=theta, k=0, xw=X.apply(w)), X, J, y, cfg)
         assert np.linalg.norm(st.w - tiny_bp_cert.w_star) <= 1e-10
         assert np.linalg.norm(st.theta - tiny_bp_cert.theta_star) <= 1e-10
 
@@ -264,6 +255,15 @@ class TestIterateLog:
         back = IterateLog.read_csv(path)
         assert back.rows[0].dist_ref is None
         assert back.rows[1] == log.rows[1]
+
+    @pytest.mark.parametrize("tag", [None, "# iterreg-csv v2"])
+    def test_read_requires_schema_tag(self, tmp_path, tag):
+        body = ("k,res_clean,res_noisy,j_val,dist_ref,gap,bregman,res_avg_clean,"
+                "dist_avg_ref,gap_avg\n0,1.5,1.25,0.5,,,,,,\n")
+        path = tmp_path / "log.csv"
+        path.write_text(body if tag is None else f"{tag}\n{body}")
+        with pytest.raises(ContractViolation, match="iterreg-csv v1"):
+            IterateLog.read_csv(path)
 
     def test_column_with_nan_for_missing(self):
         log = IterateLog()

@@ -192,3 +192,11 @@ class TestSerialization:
         # mask.csv holds one observed (i, j) pair per line
         (tmp_path / "mc" / "mask.csv").write_text("0,1\n2,3\n")
         assert load_problem(tmp_path / "mc").X.observed == ((0, 1), (2, 3))
+
+    @pytest.mark.parametrize("name", ["y.csv", "y_delta.csv", "ground_truth.csv"])
+    def test_vector_lengths_checked(self, tmp_path, name):
+        save_problem(gen_sparse(n=8, p=12, s=2, seed=7), tmp_path / "prob")
+        path = tmp_path / "prob" / name
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+        with pytest.raises(ContractViolation, match=name):
+            load_problem(tmp_path / "prob")
