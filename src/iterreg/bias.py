@@ -4,6 +4,10 @@ Each bias J is proper, convex, lower semicontinuous with J(0) = 0, and knows
 how to evaluate itself and compute prox_{tau J}. Subgradient membership is
 measured for every bias by one prox fixed-point residual. Biases are
 immutable; all methods are pure.
+
+Every bias also acts on a (dim, B) stack of vectors column by column: the
+prox maps each column, and J returns one value per column (a ``float`` for a
+single vector).
 """
 
 from __future__ import annotations
@@ -27,6 +31,11 @@ def subgradient_residual(J, w, g):
     return float(np.linalg.norm(J.prox(1.0, w + np.asarray(g, dtype=float)) - w))
 
 
+def _per_column(total):
+    """A float for the value of one vector (a 0-d result), else the array of values."""
+    return float(total) if np.ndim(total) == 0 else total
+
+
 def _check_tau(tau):
     if tau < 0:
         raise ContractViolation(f"prox scale must be nonnegative, got {tau}")
@@ -47,7 +56,9 @@ class L1(Bias):
     """J(w) = sum_i |w_i|; prox is componentwise soft-thresholding."""
 
     def __call__(self, w):
-        return float(np.sum(np.abs(w)))
+        a = np.abs(np.asarray(w, dtype=float))
+        # Each column summed as a contiguous row adds up exactly as that column alone.
+        return _per_column(np.ascontiguousarray(a.T).sum(axis=-1))
 
     def prox(self, tau, v):
         _check_tau(tau)
@@ -73,7 +84,8 @@ class SqL2(Bias):
 
     def __call__(self, w):
         w = np.asarray(w, dtype=float)
-        return float(self.scale * np.dot(w, w))
+        sq = np.dot(w, w) if w.ndim == 1 else np.einsum("ij,ij->j", w, w)
+        return _per_column(self.scale * sq)
 
     def prox(self, tau, v):
         _check_tau(tau)
@@ -85,30 +97,35 @@ class SqL2(Bias):
 
 
 class Nuclear(Bias):
-    """Nuclear norm of the p1 x p2 reshaping; prox is singular-value shrinkage."""
+    """Nuclear norm of the p1 x p2 reshaping; prox is singular-value shrinkage.
+
+    A stack of B vectors is reshaped to B matrices, which share one stacked SVD.
+    """
 
     def __init__(self, p1, p2):
         self.p1, self.p2 = int(p1), int(p2)
         if self.p1 <= 0 or self.p2 <= 0:
             raise ContractViolation(f"nuclear shape must be positive, got {(p1, p2)}")
 
-    def _as_matrix(self, w):
+    def _as_matrices(self, w):
+        """The p1 x p2 matrix of a vector, or the (B, p1, p2) matrices of a stack."""
         w = np.asarray(w, dtype=float)
-        if w.size != self.p1 * self.p2:
+        if w.ndim not in (1, 2) or w.shape[0] != self.p1 * self.p2:
             raise ContractViolation(
-                f"nuclear bias expects length {self.p1 * self.p2}, got {w.size}")
-        return w.reshape(self.p1, self.p2)
+                f"nuclear bias expects length {self.p1 * self.p2}, got shape {w.shape}")
+        return w.T.reshape(w.shape[1:] + (self.p1, self.p2))
 
     def __call__(self, w):
-        return float(np.sum(np.linalg.svd(self._as_matrix(w), compute_uv=False)))
+        return _per_column(np.linalg.svd(self._as_matrices(w), compute_uv=False).sum(axis=-1))
 
     def prox(self, tau, v):
         _check_tau(tau)
-        V = self._as_matrix(v)
+        V = self._as_matrices(v)
         if tau == 0:
-            return V.ravel().copy()
+            return np.array(v, dtype=float)
         U, s, Vt = np.linalg.svd(V, full_matrices=False)
-        return ((U * np.maximum(s - tau, 0.0)) @ Vt).ravel()
+        out = (U * np.maximum(s - tau, 0.0)[..., None, :]) @ Vt
+        return out.reshape(V.shape[:-2] + (-1,)).T
 
     def __repr__(self):
         return f"Nuclear({self.p1}, {self.p2})"
@@ -118,7 +135,7 @@ class Zero(Bias):
     """Identically-zero bias; prox is the identity, subgradient is {0}."""
 
     def __call__(self, w):
-        return 0.0
+        return _per_column(np.zeros(np.shape(w)[1:]))
 
     def prox(self, tau, v):
         _check_tau(tau)
@@ -151,13 +168,13 @@ class BlockBias(Bias):
 
     def _split_check(self, v, what):
         v = np.asarray(v, dtype=float)
-        if v.size != self.dim:
-            raise ContractViolation(f"{what}: expected length {self.dim}, got {v.size}")
+        if v.ndim not in (1, 2) or v.shape[0] != self.dim:
+            raise ContractViolation(f"{what}: expected length {self.dim}, got shape {v.shape}")
         return v
 
     def __call__(self, w):
         w = self._split_check(w, "block eval")
-        return float(sum(b(w[s:e]) for b, s, e in self.parts))
+        return _per_column(sum(b(w[s:e]) for b, s, e in self.parts))
 
     def prox(self, tau, v):
         _check_tau(tau)

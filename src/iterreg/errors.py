@@ -10,16 +10,34 @@ class ContractViolation(IterRegError, ValueError):
 
 
 class NumericalFailure(IterRegError, ArithmeticError):
-    """Non-finite values appeared during an iteration."""
+    """Non-finite values appeared during an iteration.
+
+    ``k`` is the iteration that produced them; for a batched run, ``columns``
+    lists the indices of the non-finite columns (None for a single vector).
+    """
+
+    def __init__(self, message, k=None, columns=None):
+        super().__init__(message)
+        self.k = k
+        self.columns = columns
 
 
 class CertificationFailure(IterRegError):
-    """Saddle-point certification did not reach the requested tolerances."""
+    """Saddle-point certification did not reach the requested tolerances.
 
-    def __init__(self, message, feas_res=None, subgrad_res=None):
+    ``feas_res`` and ``subgrad_res`` are the best residuals over all checks,
+    reached at iterations ``feas_k`` and ``subgrad_k``; ``history`` lists every
+    check as a ``(k, feasibility, subgradient residual)`` triple.
+    """
+
+    def __init__(self, message, feas_res=None, subgrad_res=None, feas_k=None,
+                 subgrad_k=None, history=()):
         super().__init__(message)
         self.feas_res = feas_res
         self.subgrad_res = subgrad_res
+        self.feas_k = feas_k
+        self.subgrad_k = subgrad_k
+        self.history = list(history)
 
 
 class CertificateInvalid(IterRegError):

@@ -1,8 +1,10 @@
 """Experiment harness: noisy-run diagnostics at desk scale, CSV + SVG outputs.
 
 Every experiment is deterministic given its spec: replicate noise seeds are
-derived from the base seed through numpy SeedSequence spawn keys, runs are
-sequential, and output files are written once at the end.
+derived from the base seed through numpy SeedSequence spawn keys, and output
+files are written once at the end. The noisy replicates of an experiment (all
+its noise levels and replicates, in that order) run as the columns of one
+batched iteration.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .linop import DenseOperator, Grad2D, MaskOperator
 from .metrics import BoundInputs, stability_feas_bound, stability_gap_bound, weighted_v
 from .pdsolver import certify, iterate, make_config, run, write_csv
 from .problems import add_noise, gen_matcomp, gen_sparse, load_problem, save_problem, tv_reformulate
-from .stopping import oracle_stop
 from .svgplot import line_chart
 
 __all__ = [
@@ -77,23 +78,36 @@ def _matcomp_problem(seed, problem):
     return gen_matcomp(seed=seed, **params)
 
 
+def _noisy_stack(spec, prob, noise_support=None):
+    """The noisy data of every (delta, replicate) pair as the columns of one array."""
+    return np.stack([add_noise(prob, delta, child_seed(spec.seed, di, rep),
+                               support=noise_support).y_delta
+                     for di, delta in enumerate(spec.deltas)
+                     for rep in range(spec.replicates)], axis=1)
+
+
+def _clean_certificate(prob, J):
+    """The certificate of the clean problem that the noisy runs are measured against."""
+    return certify(prob.X, J, prob.y, cfg=make_config(prob.X, max_iter=500_000),
+                   check_every=100)
+
+
 def _distance_curves(spec, prob, J, noise_support=None):
     """Shared semiconvergence machinery: noisy runs against a clean certificate."""
     spec.out_dir.mkdir(parents=True, exist_ok=True)
-    cert = certify(prob.X, J, prob.y, cfg=make_config(prob.X, max_iter=500_000),
-                   check_every=100)
+    cert = _clean_certificate(prob, J)
     cfg = make_config(prob.X, epsilon=spec.eps, max_iter=spec.max_iter,
                       record_every=spec.record_every)
-    curve_rows, summary_rows, svg_series, svg_marks = [], [], [], []
+    logs = iter(run(prob.X, J, _noisy_stack(spec, prob, noise_support), cfg, reference=cert))
+    runs, summary_rows, svg_series, svg_marks = [], [], [], []
     per_delta = {}
-    for di, delta in enumerate(spec.deltas):
+    for delta in spec.deltas:
         mins = []
         for rep in range(spec.replicates):
-            noisy = add_noise(prob, delta, child_seed(spec.seed, di, rep), support=noise_support)
-            log = run(prob.X, J, noisy.y_delta, cfg, reference=cert)
+            log = next(logs)
+            runs.append((delta, rep, log))
             ks = log.ks()
             dist = log.column("dist_ref")
-            dist_avg = log.column("dist_avg_ref")
             arg = int(np.argmin(dist))
             k_star, d_star = int(ks[arg]), float(dist[arg])
             first, last = float(dist[0]), float(dist[-1])
@@ -101,9 +115,6 @@ def _distance_curves(spec, prob, J, noise_support=None):
                             and d_star <= 0.99 * first and d_star <= 0.99 * last)
             margin = min(first, last) / d_star - 1.0 if d_star > 0 else np.inf
             mins.append(d_star)
-            curve_rows.extend(
-                (delta, rep, int(k), float(d), float(da))
-                for k, d, da in zip(ks, dist, dist_avg))
             summary_rows.append((delta, rep, k_star, d_star, first, last,
                                  int(interior), float(margin)))
             if rep == 0:
@@ -117,7 +128,10 @@ def _distance_curves(spec, prob, J, noise_support=None):
         }
     name = spec.name
     write_csv(spec.out_dir / f"{name}_curves.csv",
-              ("delta", "replicate", "k", "dist", "dist_avg"), curve_rows)
+              ("delta", "replicate", "k", "dist", "dist_avg"),
+              ((delta, rep, k, d, da) for delta, rep, log in runs
+               for k, d, da in zip(log.ks().tolist(), log.column("dist_ref").tolist(),
+                                   log.column("dist_avg_ref").tolist())))
     write_csv(spec.out_dir / f"{name}_summary.csv",
               ("delta", "replicate", "k_star", "dist_star", "dist_first",
                "dist_last", "interior", "margin"), summary_rows)
@@ -159,22 +173,18 @@ def run_stoptime(spec):
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     prob = _sparse_problem(spec.seed, spec.problem)
     J = L1()
-    cert = certify(prob.X, J, prob.y, cfg=make_config(prob.X, max_iter=500_000),
-                   check_every=100)
+    cert = _clean_certificate(prob, J)
     cfg = make_config(prob.X, epsilon=spec.eps, max_iter=spec.max_iter,
                       record_every=spec.record_every)
+    k_stars, d_stars = _oracle_stops(prob.X, J, _noisy_stack(spec, prob), cfg, cert.w_star)
     raw_rows, sum_rows = [], []
     mean_inv = []
     mean_k = []
     for di, delta in enumerate(spec.deltas):
-        ks, ds = [], []
-        for rep in range(spec.replicates):
-            noisy = add_noise(prob, delta, child_seed(spec.seed, di, rep))
-            log = run(prob.X, J, noisy.y_delta, cfg, reference=cert)
-            k_star, d_star = oracle_stop(log)
-            ks.append(k_star)
-            ds.append(d_star)
-            raw_rows.append((delta, rep, k_star, d_star))
+        cols = slice(di * spec.replicates, (di + 1) * spec.replicates)
+        ks = k_stars[cols].tolist()
+        raw_rows.extend((delta, rep, k, d)
+                        for rep, (k, d) in enumerate(zip(ks, d_stars[cols].tolist())))
         inv = [1.0 / k for k in ks]
         mean_inv.append(float(np.mean(inv)))
         mean_k.append(float(np.mean(ks)))
@@ -211,6 +221,26 @@ def run_stoptime(spec):
             "deltas": list(map(float, deltas))}
 
 
+def _oracle_stops(X, J, Y, cfg, w_star):
+    """Oracle k* and distance ||w_k* - w*|| of each column of Y.
+
+    These are what ``oracle_stop`` finds in the log of that column recorded at
+    ``cfg.record_every``, the first minimum winning; only the running minimum
+    of each column is kept, not its log.
+    """
+    best_k = np.zeros(Y.shape[1], dtype=int)
+    best_d = np.full(Y.shape[1], np.inf)
+    w_star = w_star[:, None]
+    for state in iterate(X, J, Y, cfg):
+        if state.k % cfg.record_every and state.k != cfg.max_iter:
+            continue
+        d = np.linalg.norm(state.w - w_star, axis=0)
+        better = d < best_d
+        best_k[better] = state.k
+        best_d[better] = d[better]
+    return best_k, best_d
+
+
 def run_bounds(spec, eps_list=(0.25, 0.5, 0.9)):
     """Measured averaged-iterate gap and residual against their upper bounds.
 
@@ -221,38 +251,39 @@ def run_bounds(spec, eps_list=(0.25, 0.5, 0.9)):
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     prob = _sparse_problem(spec.seed, spec.problem)
     J = L1()
-    cert = certify(prob.X, J, prob.y, cfg=make_config(prob.X, max_iter=500_000),
-                   check_every=100)
+    cert = _clean_certificate(prob, J)
+    Y = _noisy_stack(spec, prob)
     violations = 0
     worst_gap_ratio = worst_feas_ratio = -np.inf
     for eps in eps_list:
         cfg = make_config(prob.X, epsilon=eps, max_iter=spec.max_iter,
                           record_every=spec.record_every)
         v0 = weighted_v(-cert.w_star, -cert.theta_star, cfg.tau, cfg.sigma)
-        for di, delta in enumerate(spec.deltas):
+        logs = iter(run(prob.X, J, Y, cfg, reference=cert))
+        for delta in spec.deltas:
+            b = BoundInputs(v0=v0, sigma=cfg.sigma, epsilon=eps, delta=delta)
             for rep in range(spec.replicates):
-                noisy = add_noise(prob, delta, child_seed(spec.seed, di, rep))
-                log = run(prob.X, J, noisy.y_delta, cfg, reference=cert)
-                b = BoundInputs(v0=v0, sigma=cfg.sigma, epsilon=eps, delta=delta)
-                rows = []
-                for row in log.rows:
-                    if row.k < 1:
-                        continue
-                    gb = stability_gap_bound(row.k, b)
-                    fb = stability_feas_bound(row.k, b)
-                    feas_sq = row.res_avg_clean ** 2
-                    gap_ok = row.gap_avg <= gb * (1.0 + 1e-8)
-                    feas_ok = feas_sq <= fb * (1.0 + 1e-8)
-                    if gb > 0:
-                        worst_gap_ratio = max(worst_gap_ratio, row.gap_avg / gb)
-                    if fb > 0:
-                        worst_feas_ratio = max(worst_feas_ratio, feas_sq / fb)
-                    violations += (not gap_ok) + (not feas_ok)
-                    rows.append((row.k, row.gap_avg, gb, feas_sq, fb,
-                                 int(gap_ok), int(feas_ok)))
+                log = next(logs)
+                past = log.ks() >= 1
+                k = log.ks()[past]
+                gap_meas = log.column("gap_avg")[past]
+                feas_sq = log.column("res_avg_clean")[past] ** 2
+                gb, fb = stability_gap_bound(k, b), stability_feas_bound(k, b)
+                gap_ok = gap_meas <= gb * (1.0 + 1e-8)
+                feas_ok = feas_sq <= fb * (1.0 + 1e-8)
+                pos = gb > 0
+                if pos.any():
+                    worst_gap_ratio = max(worst_gap_ratio, np.max(gap_meas[pos] / gb[pos]))
+                pos = fb > 0
+                if pos.any():
+                    worst_feas_ratio = max(worst_feas_ratio, np.max(feas_sq[pos] / fb[pos]))
+                violations += int(np.sum(~gap_ok) + np.sum(~feas_ok))
                 write_csv(spec.out_dir / f"bounds_eps{eps:g}_delta{delta:g}_rep{rep}.csv",
                           ("k", "gap_meas", "gap_bound", "feas_sq_meas",
-                           "feas_bound", "gap_ok", "feas_ok"), rows)
+                           "feas_bound", "gap_ok", "feas_ok"),
+                          zip(k.tolist(), gap_meas.tolist(), gb.tolist(), feas_sq.tolist(),
+                              fb.tolist(), gap_ok.astype(int).tolist(),
+                              feas_ok.astype(int).tolist()))
     summary = {"violations": violations,
                "worst_gap_ratio": float(worst_gap_ratio),
                "worst_feas_ratio": float(worst_feas_ratio)}
@@ -392,9 +423,8 @@ def run_solve(spec):
     log = run(prob.X, J, prob.y_delta, cfg)
     log.write_csv(spec.out_dir / "log.csv")
     save_problem(prob, spec.out_dir / "problem")
-    final = log.rows[-1]
-    return {"final_res_noisy": final.res_noisy, "final_j": final.j_val,
-            "iterations": final.k}
+    return {"final_res_noisy": float(log.column("res_noisy")[-1]),
+            "final_j": float(log.column("j_val")[-1]), "iterations": int(log.ks()[-1])}
 
 
 def run_certify(spec):

@@ -2,9 +2,10 @@
 
 Operators map flat float vectors to flat float vectors. A matrix variable over a
 p1 x p2 grid is identified with a vector of length p1*p2 in row-major order, so
-matrix-valued problems reuse the vector machinery unchanged. Operators are
-immutable after construction; ``apply`` and ``adjoint`` are pure and safe to
-share across concurrent runs.
+matrix-valued problems reuse the vector machinery unchanged. Dense and mask
+operators also map a stack of B such vectors, held as the columns of a
+(dim, B) array, column by column. Operators are immutable after construction;
+``apply`` and ``adjoint`` are pure and safe to share across concurrent runs.
 """
 
 from __future__ import annotations
@@ -25,11 +26,16 @@ __all__ = [
 ]
 
 
-def as_vector(x, dim, what="vector"):
-    """Coerce to a float vector of the given length, else raise ContractViolation."""
+def as_vector(x, dim, what="vector", columns=False):
+    """Coerce to a float vector of length ``dim``, else raise ContractViolation.
+
+    With ``columns``, a (dim, B) stack of B such vectors as columns is taken too.
+    """
     v = np.asarray(x, dtype=float)
-    if v.ndim != 1 or v.shape[0] != dim:
-        raise ContractViolation(f"{what}: expected length {dim}, got shape {v.shape}")
+    if v.ndim != 1 and not (columns and v.ndim == 2) or v.shape[0] != dim:
+        form = f" or a ({dim}, B) stack" if columns else ""
+        raise ContractViolation(
+            f"{what}: expected one vector of length {dim}{form}, got shape {v.shape}")
     return v
 
 
@@ -42,9 +48,13 @@ class LinearOperator:
         One of ``dense``, ``mask``, ``grad2d``, ``stacked``.
     in_dim, out_dim : int
         Domain and codomain dimensions (p and n).
+    columnwise : bool
+        Whether ``apply`` and ``adjoint`` also map a (dim, B) stack of vectors,
+        column by column.
     """
 
     kind = "abstract"
+    columnwise = True
 
     def __init__(self, in_dim, out_dim):
         in_dim, out_dim = int(in_dim), int(out_dim)
@@ -55,12 +65,12 @@ class LinearOperator:
         self._norm_cache = None
 
     def apply(self, w):
-        """Forward map X w."""
-        return self._apply(as_vector(w, self.in_dim, f"{self.kind}.apply"))
+        """Forward map X w, of a vector or of each column of a stack."""
+        return self._apply(as_vector(w, self.in_dim, self.kind, self.columnwise))
 
     def adjoint(self, theta):
-        """Adjoint map X^T theta."""
-        return self._adjoint(as_vector(theta, self.out_dim, f"{self.kind}.adjoint"))
+        """Adjoint map X^T theta, of a vector or of each column of a stack."""
+        return self._adjoint(as_vector(theta, self.out_dim, self.kind, self.columnwise))
 
     def norm_est(self):
         """Cached spectral-norm estimate (power iteration with default settings)."""
@@ -145,10 +155,10 @@ class MaskOperator(LinearOperator):
         super().__init__(p1 * p2, p1 * p2)
 
     def _apply(self, w):
-        return w * self.gain
+        return (self.gain * w.T).T
 
     def _adjoint(self, theta):
-        return theta * self.gain
+        return (self.gain * theta.T).T
 
     def as_matrix(self):
         return np.diag(self.gain)
@@ -162,6 +172,7 @@ class Grad2D(LinearOperator):
     """
 
     kind = "grad2d"
+    columnwise = False
 
     def __init__(self, p1, p2):
         self.p1, self.p2 = int(p1), int(p2)
@@ -191,6 +202,7 @@ class StackedOperator(LinearOperator):
     """Block matrix of child operators; ``None`` entries are zero blocks."""
 
     kind = "stacked"
+    columnwise = False
 
     def __init__(self, blocks):
         rows = [tuple(row) for row in blocks]

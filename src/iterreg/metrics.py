@@ -11,11 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bias import L1, subgradient_residual
+from .bias import L1, _per_column, subgradient_residual
 from .errors import AssumptionViolated, CertificateInvalid, ContractViolation
 
 __all__ = [
     "lagrangian",
+    "raw_gap",
     "gap",
     "bregman",
     "gap_equals_bregman_check",
@@ -36,6 +37,20 @@ def lagrangian(w, theta, X, J, y):
     return float(J(w) + theta @ (X.apply(w) - y))
 
 
+def raw_gap(jw, xw, theta, j_star, theta_star, y, r_star):
+    """L(w, theta*) - L(w*, theta) from J(w) and X w, column-wise and unclamped.
+
+    (w*, theta*) is the reference pair, with J(w*) = ``j_star`` and
+    X w* - y = ``r_star``. ``xw`` and ``theta`` are vectors, or (dim, B) stacks
+    whose columns pair up; then ``jw`` holds J of each column of w, ``y`` is a
+    (dim, 1) column, and the result has one value per column. At theta =
+    theta* the value is the Bregman divergence D_J(w, w*) at the subgradient
+    -X^T theta*. The gap and Bregman columns of an iterate log are these raw
+    values.
+    """
+    return jw - j_star + theta_star @ (xw - y) - r_star @ theta
+
+
 def gap(w, theta, cert, X, J, y):
     """Duality gap L(w, theta*) - L(w*, theta) against a certificate.
 
@@ -43,10 +58,14 @@ def gap(w, theta, cert, X, J, y):
     footprint of a numerical certificate) are clamped to 0; anything more
     negative means the certificate is not a saddle point and raises.
     """
-    val = lagrangian(w, cert.theta_star, X, J, y) - lagrangian(cert.w_star, theta, X, J, y)
+    w = np.asarray(w, dtype=float)
+    j_star = J(cert.w_star)
+    r_star = X.apply(cert.w_star) - y
+    val = float(raw_gap(J(w), X.apply(w), np.asarray(theta, dtype=float), j_star,
+                        cert.theta_star, y, r_star))
     if val >= 0.0:
         return val
-    l_star = lagrangian(cert.w_star, cert.theta_star, X, J, y)
+    l_star = j_star + float(cert.theta_star @ r_star)
     clamp = 1e-10 * (1.0 + abs(l_star))
     if val > -clamp:
         return 0.0
@@ -67,7 +86,8 @@ def bregman(J, w, w_ref, g_ref):
     if subgradient_residual(J, w_ref, g_ref) > 1e-6:
         raise ContractViolation("g_ref is not a subgradient of J at w_ref")
     jw, jr = J(w), J(w_ref)
-    val = jw - jr - g_ref @ (w - w_ref)
+    # The gap at theta = theta* of min J(v) s.t. v = w_ref, whose dual is -g_ref.
+    val = float(raw_gap(jw, w, -g_ref, jr, -g_ref, w_ref, np.zeros_like(w_ref)))
     if val >= 0.0:
         return float(val)
     clamp = 1e-10 * (1.0 + abs(jw) + abs(jr))
@@ -118,24 +138,36 @@ class BoundInputs:
             raise ContractViolation(f"epsilon must lie in (0,1), got {self.epsilon}")
 
 
+def _iterations(k):
+    """``k`` as an array of iterations, each of which must be >= 1."""
+    k = np.asarray(k)
+    if np.any(k < 1):
+        raise ContractViolation(f"bound needs k >= 1, got {np.min(k)}")
+    return k
+
+
 def stability_gap_bound(k, b):
-    """(sqrt(V0) + sqrt(2 sigma) * delta * k)^2 / k; equals V0/k when delta=0."""
-    if k < 1:
-        raise ContractViolation(f"bound needs k >= 1, got {k}")
-    return float((np.sqrt(b.v0) + np.sqrt(2.0 * b.sigma) * b.delta * k) ** 2 / k)
+    """(sqrt(V0) + sqrt(2 sigma) * delta * k)^2 / k; equals V0/k when delta=0.
+
+    ``k`` is one iteration (giving a float) or an array of them.
+    """
+    k = _iterations(k)
+    return _per_column((np.sqrt(b.v0) + np.sqrt(2.0 * b.sigma) * b.delta * k) ** 2 / k)
 
 
 def stability_feas_bound(k, b):
-    """Upper bound on ||X w_avg^k - y||^2 under noise level delta."""
-    if k < 1:
-        raise ContractViolation(f"bound needs k >= 1, got {k}")
+    """Upper bound on ||X w_avg^k - y||^2 under noise level delta.
+
+    ``k`` is one iteration (giving a float) or an array of them.
+    """
+    k = _iterations(k)
     eps, sig, d = b.epsilon, b.sigma, b.delta
     lead = 2.0 * (1.0 + eps) / (sig * eps * (1.0 - eps))
     inner = (np.sqrt(2.0 * sig * b.v0) * d
              + sig * eps / (1.0 - eps) * d * d
              + 2.0 * sig * d * d * k
              + b.v0 / k)
-    return float(lead * inner)
+    return _per_column(lead * inner)
 
 
 @dataclass(frozen=True)

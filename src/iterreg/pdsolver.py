@@ -9,8 +9,11 @@ with w_0 = 0 and theta_0 = theta_{-1} = 0, and step sizes
 constrained by sigma * tau * ||X||^2 <= epsilon < 1.
 
 ``iterate`` yields the states k = 0..max_iter and is the one loop over
-``step``. ``run`` records per-iteration diagnostics into an
-:class:`IterateLog`, including the averages over w_1..w_k and
+``step``. ``y_obs`` is one data vector or an (n, B) stack of B right-hand
+sides; a stack runs as the B columns of one iteration, w and theta becoming
+(p, B) and (n, B) arrays, and every update acts column by column. ``run``
+records per-iteration diagnostics into an :class:`IterateLog` (one per
+column of a stack), including the averages over w_1..w_k and
 theta_1..theta_k that the rate and stability guarantees attach to;
 ``certify`` drives the iteration on clean data until the pair satisfies the
 saddle-point conditions (feasibility plus subgradient inclusion) at tight
@@ -20,13 +23,15 @@ tolerances, producing the reference used by all gap and distance metrics.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bias import subgradient_residual
 from .errors import CertificationFailure, ContractViolation, NumericalFailure
 from .linop import as_vector
+from .metrics import raw_gap
 
 __all__ = [
     "SolverConfig",
@@ -48,12 +53,16 @@ CSV_VERSION = "# iterreg-csv v1"
 
 
 def write_csv(path, columns, rows):
-    """Write rows under the schema tag and a header; floats as repr, None empty."""
+    """Write rows under the schema tag and a header; floats as repr, None empty.
+
+    Numpy scalars are written as the Python numbers they hold.
+    """
     with open(path, "w", newline="") as fh:
         fh.write(CSV_VERSION + "\n")
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in rows:
+            row = [v.item() if isinstance(v, np.generic) else v for v in row]
             writer.writerow(["" if v is None else (repr(v) if isinstance(v, float) else v)
                              for v in row])
 
@@ -98,7 +107,10 @@ def make_config(X, epsilon=0.99, max_iter=5000, record_every=1):
 
 @dataclass
 class PdState:
-    """One primal-dual iterate and the image X w of its primal part."""
+    """One primal-dual iterate and the image X w of its primal part.
+
+    For a batched run every array holds one column per right-hand side.
+    """
 
     w: np.ndarray
     theta: np.ndarray
@@ -107,10 +119,12 @@ class PdState:
     xw: np.ndarray
 
 
-def initial_state(X):
-    """The all-zero state at k = 0."""
-    return PdState(w=np.zeros(X.in_dim), theta=np.zeros(X.out_dim),
-                   theta_prev=np.zeros(X.out_dim), k=0, xw=np.zeros(X.out_dim))
+def initial_state(X, batch=()):
+    """The all-zero state at k = 0: vectors, or B columns for ``batch`` = (B,)."""
+    batch = tuple(batch)
+    return PdState(w=np.zeros((X.in_dim, *batch)), theta=np.zeros((X.out_dim, *batch)),
+                   theta_prev=np.zeros((X.out_dim, *batch)), k=0,
+                   xw=np.zeros((X.out_dim, *batch)))
 
 
 def step(state, X, J, y_obs, cfg):
@@ -119,23 +133,33 @@ def step(state, X, J, y_obs, cfg):
     xw_new = X.apply(w_new)
     theta_new = state.theta + cfg.sigma * (xw_new - y_obs)
     if not (np.all(np.isfinite(w_new)) and np.all(np.isfinite(theta_new))):
-        raise NumericalFailure(f"non-finite iterate at iteration {state.k + 1}")
+        raise _non_finite(w_new, theta_new, state.k + 1)
     return PdState(w=w_new, theta=theta_new, theta_prev=state.theta, k=state.k + 1, xw=xw_new)
+
+
+def _non_finite(w, theta, k):
+    """The NumericalFailure for iteration k, naming the bad columns of a batched run."""
+    if w.ndim == 1:
+        return NumericalFailure(f"non-finite iterate at iteration {k}", k=k)
+    bad = np.flatnonzero(~(np.isfinite(w).all(axis=0) & np.isfinite(theta).all(axis=0)))
+    return NumericalFailure(f"non-finite iterate at iteration {k} in columns {bad.tolist()}",
+                            k=k, columns=bad.tolist())
 
 
 def iterate(X, J, y_obs, cfg):
     """Yield the states k = 0..cfg.max_iter of the iteration on ``y_obs``.
 
+    ``y_obs`` is a vector or an (n, B) stack, whose columns run together.
     Before the first state, the step sizes must satisfy
     sigma*tau*(1.01*||X||)^2 <= epsilon, with float slack.
     """
-    y_obs = as_vector(y_obs, X.out_dim, "y_obs")
+    y_obs = as_vector(y_obs, X.out_dim, "y_obs", X.columnwise)
     nu = 1.01 * X.norm_est()
     if cfg.sigma * cfg.tau * nu * nu > cfg.epsilon * (1.0 + 1e-9):
         raise ContractViolation(
             f"step sizes violate sigma*tau*||X||^2 <= epsilon: "
             f"{cfg.sigma * cfg.tau * nu * nu:.6g} > {cfg.epsilon}")
-    state = initial_state(X)
+    state = initial_state(X, y_obs.shape[1:])
     yield state
     for _ in range(cfg.max_iter):
         state = step(state, X, J, y_obs, cfg)
@@ -178,66 +202,104 @@ class LogRow:
     gap_avg: float | None = None
 
 
-@dataclass
 class IterateLog:
-    """Recorded diagnostics, strictly increasing in k."""
+    """Recorded diagnostics, strictly increasing in k.
 
-    rows: list = field(default_factory=list)
+    The log keeps one array per column of ``LOG_COLUMNS``: ``k`` as integers
+    and the others as floats, with NaN where a value was not recorded.
+    """
+
+    def __init__(self, k=(), **values):
+        unknown = set(values) - set(LOG_COLUMNS[1:])
+        if unknown:
+            raise ContractViolation(f"unknown log columns {sorted(unknown)}")
+        self._k = np.asarray(k, dtype=int)
+        if np.any(np.diff(self._k) <= 0):
+            raise ContractViolation("log rows must increase in k")
+        self._values = {c: np.asarray(values[c], dtype=float) if c in values
+                        else np.full(len(self._k), np.nan) for c in LOG_COLUMNS[1:]}
+        if any(v.shape != self._k.shape for v in self._values.values()):
+            raise ContractViolation("every log column needs one value per k")
 
     def append(self, row):
-        if self.rows and row.k <= self.rows[-1].k:
-            raise ContractViolation(f"log rows must increase in k, got {row.k} after {self.rows[-1].k}")
-        self.rows.append(row)
+        if len(self) and row.k <= self._k[-1]:
+            raise ContractViolation(f"log rows must increase in k, got {row.k} after {self._k[-1]}")
+        self._k = np.append(self._k, row.k)
+        for c, v in self._values.items():
+            self._values[c] = np.append(v, np.nan if getattr(row, c) is None else getattr(row, c))
+
+    def _records(self):
+        """Each row as a tuple in ``LOG_COLUMNS`` order, None where not recorded."""
+        cols = [self._values[c].tolist() for c in LOG_COLUMNS[1:]]
+        for k, *vals in zip(self._k.tolist(), *cols):
+            yield (k, *(None if v != v else v for v in vals))
+
+    @property
+    def rows(self):
+        """The log as :class:`LogRow` records, built on each access."""
+        return [LogRow(*rec) for rec in self._records()]
 
     def column(self, name):
-        """Column as a float array; missing values become NaN."""
+        """Column as a float array; missing values are NaN."""
         if name not in LOG_COLUMNS:
             raise ContractViolation(f"unknown log column {name!r}")
-        return np.array([np.nan if getattr(r, name) is None else getattr(r, name)
-                         for r in self.rows], dtype=float)
+        return self._k.astype(float) if name == "k" else self._values[name]
 
     def ks(self):
-        return np.array([r.k for r in self.rows], dtype=int)
+        return self._k
 
     def write_csv(self, path):
-        write_csv(path, LOG_COLUMNS, ([getattr(r, c) for c in LOG_COLUMNS] for r in self.rows))
+        write_csv(path, LOG_COLUMNS, self._records())
 
     @classmethod
     def read_csv(cls, path):
         """Read a log written by :meth:`write_csv`; the first line must be the schema tag."""
-        log = cls()
         with open(path, newline="") as fh:
             tag = fh.readline().rstrip("\r\n")
             if tag != CSV_VERSION:
                 raise ContractViolation(f"{path}: first line {tag!r} is not {CSV_VERSION!r}")
             records = list(csv.DictReader(fh))
-        for rec in records:
-            vals = {c: (None if rec[c] == "" else float(rec[c])) for c in LOG_COLUMNS if c != "k"}
-            log.append(LogRow(k=int(rec["k"]), **vals))
-        return log
+        return cls(k=[int(rec["k"]) for rec in records],
+                   **{c: [np.nan if rec[c] == "" else float(rec[c]) for rec in records]
+                      for c in LOG_COLUMNS[1:]})
 
     def __len__(self):
-        return len(self.rows)
+        return len(self._k)
+
+
+def _norms(a):
+    """Euclidean norm of a vector (a float), or of each column of a stack."""
+    return float(np.linalg.norm(a)) if a.ndim == 1 else np.linalg.norm(a, axis=0)
 
 
 class _Recorder:
-    """Builds log rows; gap/bregman columns are raw Lagrangian differences.
+    """Fills the log columns at the recorded iterations, all columns of a stack at once.
 
-    With a reference it also keeps the running sums of w, theta and X w over
-    k >= 1 that the averaged columns read; ``add`` must see every state.
+    Values go into arrays preallocated for the recorded k; the gap and bregman
+    columns are raw values of :func:`~iterreg.metrics.raw_gap`. With a
+    reference it also keeps the running sums of w, theta and X w over k >= 1
+    that the averaged columns read; ``add`` must see every state.
     """
 
-    def __init__(self, X, J, y_obs, reference):
-        self.X, self.J, self.y_obs = X, J, y_obs
-        self.ref = reference
+    def __init__(self, X, J, y_obs, cfg, reference):
+        self.J, self.y_obs, self.ref = J, y_obs, reference
+        self.record_every, self.max_iter = cfg.record_every, cfg.max_iter
+        self.ks = np.unique(np.append(np.arange(0, cfg.max_iter + 1, cfg.record_every),
+                                      cfg.max_iter))
+        batch = y_obs.shape[1:]
+        self.values = {c: np.full((len(self.ks), *batch), np.nan) for c in LOG_COLUMNS[1:]}
+        self.row = 0
         if reference is not None:
-            self.y_clean = reference.y
+            # reference vectors as one column, to line up with each column of a stack
+            col = (-1, 1) if batch else (-1,)
+            self.y_clean = reference.y.reshape(col)
+            self.w_star = reference.w_star.reshape(col)
+            self.theta_star = reference.theta_star
             self.j_star = J(reference.w_star)
-            self.r_star = X.apply(reference.w_star) - self.y_clean
-            self.g_ref = -X.adjoint(reference.theta_star)
-            self.w_sum = np.zeros(X.in_dim)
-            self.theta_sum = np.zeros(X.out_dim)
-            self.xw_sum = np.zeros(X.out_dim)
+            self.r_star = X.apply(reference.w_star) - reference.y
+            self.w_sum = np.zeros((X.in_dim, *batch))
+            self.theta_sum = np.zeros((X.out_dim, *batch))
+            self.xw_sum = np.zeros((X.out_dim, *batch))
         else:
             self.y_clean = y_obs
 
@@ -246,33 +308,42 @@ class _Recorder:
             self.w_sum += state.w
             self.theta_sum += state.theta
             self.xw_sum += state.xw
+        if state.k % self.record_every == 0 or state.k == self.max_iter:
+            self._record(state)
+            self.row += 1
 
     def _averages(self, state):
         if state.k == 0:
             return state.w, state.theta, state.xw
         return self.w_sum / state.k, self.theta_sum / state.k, self.xw_sum / state.k
 
-    def row(self, state):
-        xw = state.xw
+    def _gap(self, jw, xw, theta):
+        return raw_gap(jw, xw, theta, self.j_star, self.theta_star, self.y_clean, self.r_star)
+
+    def _record(self, state):
+        out, i, xw = self.values, self.row, state.xw
         j_val = self.J(state.w)
-        res_noisy = float(np.linalg.norm(xw - self.y_obs))
-        res_clean = float(np.linalg.norm(xw - self.y_clean))
+        out["j_val"][i] = j_val
+        out["res_noisy"][i] = _norms(xw - self.y_obs)
+        out["res_clean"][i] = _norms(xw - self.y_clean)
         if self.ref is None:
-            return LogRow(k=state.k, res_clean=res_clean, res_noisy=res_noisy, j_val=j_val)
-        ref = self.ref
+            return
         w_avg, theta_avg, xw_avg = self._averages(state)
-        gap = (j_val + ref.theta_star @ (xw - self.y_clean)
-               - self.j_star - state.theta @ self.r_star)
-        gap_avg = (self.J(w_avg) + ref.theta_star @ (xw_avg - self.y_clean)
-                   - self.j_star - theta_avg @ self.r_star)
-        breg = j_val - self.j_star - self.g_ref @ (state.w - ref.w_star)
-        return LogRow(
-            k=state.k, res_clean=res_clean, res_noisy=res_noisy, j_val=j_val,
-            dist_ref=float(np.linalg.norm(state.w - ref.w_star)),
-            gap=float(gap), bregman=float(breg),
-            res_avg_clean=float(np.linalg.norm(xw_avg - self.y_clean)),
-            dist_avg_ref=float(np.linalg.norm(w_avg - ref.w_star)),
-            gap_avg=float(gap_avg))
+        out["dist_ref"][i] = _norms(state.w - self.w_star)
+        out["gap"][i] = self._gap(j_val, xw, state.theta)
+        out["bregman"][i] = self._gap(j_val, xw, self.theta_star)
+        out["res_avg_clean"][i] = _norms(xw_avg - self.y_clean)
+        out["dist_avg_ref"][i] = _norms(w_avg - self.w_star)
+        out["gap_avg"][i] = self._gap(self.J(w_avg), xw_avg, theta_avg)
+
+    def logs(self):
+        """One log for a vector; for a stack, the list of the logs of its columns."""
+        for a in (self.ks, *self.values.values()):
+            a.setflags(write=False)
+        if self.y_obs.ndim == 1:
+            return IterateLog(self.ks, **self.values)
+        return [IterateLog(self.ks, **{c: a[:, b] for c, a in self.values.items()})
+                for b in range(self.y_obs.shape[1])]
 
 
 def run(X, J, y_obs, cfg, reference=None):
@@ -282,16 +353,14 @@ def run(X, J, y_obs, cfg, reference=None):
     and at the final iteration. When ``reference`` is given, distance, gap and
     Bregman columns are computed against the certificate and the clean data it
     carries; the gap columns store the plain Lagrangian difference without
-    clamping.
+    clamping. For an (n, B) stack ``y_obs`` the B columns run as one batched
+    iteration and the result is the list of their B logs, in column order.
     """
-    y_obs = as_vector(y_obs, X.out_dim, "y_obs")
-    rec = _Recorder(X, J, y_obs, reference)
-    log = IterateLog()
+    y_obs = as_vector(y_obs, X.out_dim, "y_obs", X.columnwise)
+    rec = _Recorder(X, J, y_obs, cfg, reference)
     for state in iterate(X, J, y_obs, cfg):
         rec.add(state)
-        if state.k % cfg.record_every == 0 or state.k == cfg.max_iter:
-            log.append(rec.row(state))
-    return log
+    return rec.logs()
 
 
 def certify(X, J, y, cfg=None, feas_tol=None, subgrad_tol=1e-6, check_every=50):
@@ -300,26 +369,35 @@ def certify(X, J, y, cfg=None, feas_tol=None, subgrad_tol=1e-6, check_every=50):
     The conditions are checked every ``check_every`` iterations and at
     ``cfg.max_iter``. Defaults: feas_tol = 1e-9 * max(1, ||y||), subgrad_tol =
     1e-6. Raises :class:`CertificationFailure` with the best residuals
-    achieved if the tolerances are not reached within ``cfg.max_iter``.
+    achieved, the iterations that reached them and the residuals of every
+    check if the tolerances are not reached within ``cfg.max_iter``.
     """
     y = as_vector(y, X.out_dim, "y")
     if cfg is None:
         cfg = make_config(X, max_iter=200_000)
     if feas_tol is None:
         feas_tol = 1e-9 * max(1.0, float(np.linalg.norm(y)))
-    best_feas, best_sub = np.inf, np.inf
+    # every check's residuals, in compact arrays: a certification can make thousands
+    checked, feas_hist, sub_hist = array("q"), array("d"), array("d")
     for state in iterate(X, J, y, cfg):
         if state.k == 0 or (state.k % check_every and state.k != cfg.max_iter):
             continue
         feas = float(np.linalg.norm(state.xw - y))
         sub = subgradient_residual(J, state.w, -X.adjoint(state.theta))
-        best_feas, best_sub = min(best_feas, feas), min(best_sub, sub)
+        checked.append(state.k)
+        feas_hist.append(feas)
+        sub_hist.append(sub)
         if feas <= feas_tol and sub <= subgrad_tol:
             return SaddleCertificate(
                 w_star=state.w.copy(), theta_star=state.theta.copy(),
                 feas_res=feas, subgrad_res=sub, y=y.copy())
+    history = list(zip(checked, feas_hist, sub_hist))
+    none = (None, np.inf, np.inf)
+    feas_k, best_feas, _ = min(history, key=lambda h: h[1], default=none)
+    sub_k, _, best_sub = min(history, key=lambda h: h[2], default=none)
     raise CertificationFailure(
         f"no certificate within {cfg.max_iter} iterations: best feasibility "
-        f"{best_feas:.3e} (tol {feas_tol:.3e}), best subgradient residual "
-        f"{best_sub:.3e} (tol {subgrad_tol:.3e})",
-        feas_res=best_feas, subgrad_res=best_sub)
+        f"{best_feas:.3e} at k={feas_k} (tol {feas_tol:.3e}), best subgradient residual "
+        f"{best_sub:.3e} at k={sub_k} (tol {subgrad_tol:.3e})",
+        feas_res=best_feas, subgrad_res=best_sub, feas_k=feas_k, subgrad_k=sub_k,
+        history=history)

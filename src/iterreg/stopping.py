@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import ContractViolation, RuleInapplicable
 
 __all__ = ["budget_stop", "discrepancy_stop", "oracle_stop"]
@@ -26,10 +28,8 @@ def discrepancy_stop(log, tau_d, delta):
         raise ContractViolation(f"discrepancy factor must be >= 1, got {tau_d}")
     if delta < 0:
         raise ContractViolation(f"noise level must be nonnegative, got {delta}")
-    for row in log.rows:
-        if row.res_noisy is not None and row.res_noisy <= tau_d * delta:
-            return row.k
-    return None
+    hits = np.flatnonzero(log.column("res_noisy") <= tau_d * delta)
+    return int(log.ks()[hits[0]]) if hits.size else None
 
 
 def oracle_stop(log):
@@ -38,12 +38,8 @@ def oracle_stop(log):
     Ties break toward the smaller k. Requires the log to carry the
     distance-to-reference column.
     """
-    best_k, best_d = None, None
-    for row in log.rows:
-        if row.dist_ref is None:
-            continue
-        if best_d is None or row.dist_ref < best_d:
-            best_k, best_d = row.k, row.dist_ref
-    if best_k is None:
+    dist = log.column("dist_ref")
+    if np.all(np.isnan(dist)):
         raise ContractViolation("oracle stopping needs the dist_ref column")
-    return best_k, best_d
+    i = int(np.nanargmin(dist))
+    return int(log.ks()[i]), float(dist[i])

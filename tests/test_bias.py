@@ -178,3 +178,20 @@ class TestBlockBias:
         J = BlockBias([(L1(), 0, 4)])
         with pytest.raises(ContractViolation):
             J(np.zeros(5))
+
+
+@pytest.mark.parametrize("J, dim", ALL_KINDS + [(Nuclear(3, 4), 12)])
+def test_stack_matches_columns(J, dim):
+    rng = np.random.default_rng(4)
+    V = 3.0 * rng.standard_normal((dim, 5))
+    for tau in (0.0, 0.7):
+        want = np.stack([J.prox(tau, V[:, b]) for b in range(5)], axis=1)
+        assert np.array_equal(J.prox(tau, V), want)
+    one = J(V[:, 0])
+    assert isinstance(one, float)
+    vals, want = J(V), np.array([J(V[:, b]) for b in range(5)])
+    assert vals.shape == (5,)
+    if isinstance(J, SqL2):  # one einsum against five dot products
+        assert np.allclose(vals, want, rtol=1e-14, atol=0)
+    else:
+        assert np.array_equal(vals, want)

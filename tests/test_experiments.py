@@ -1,9 +1,11 @@
+import csv
 import filecmp
 import json
 
 import numpy as np
 import pytest
 
+from iterreg import L1, add_noise, certify, gen_sparse, make_config, oracle_stop, run
 from iterreg.errors import BoundViolation, ContractViolation
 from iterreg.experiments import (
     ExperimentSpec,
@@ -98,6 +100,28 @@ def test_stoptime_fit_and_files(tmp_path):
     assert inv[-1] > inv[0]
 
 
+def test_stoptime_oracle_matches_logged_runs(tmp_path):
+    # record_every=3 with max_iter=301 also records the final iterate off the grid
+    spec = spec_for(tmp_path, "stoptime", deltas=(0.5, 2.0), replicates=2,
+                    problem=TINY_SPARSE, max_iter=301, record_every=3)
+    run_stoptime(spec)
+    with open(spec.out_dir / "stoptime_raw.csv", newline="") as fh:
+        fh.readline()
+        rows = list(csv.DictReader(fh))
+    prob = gen_sparse(seed=0, **TINY_SPARSE)
+    cert = certify(prob.X, L1(), prob.y, cfg=make_config(prob.X, max_iter=500_000),
+                   check_every=100)
+    cfg = make_config(prob.X, max_iter=301, record_every=3)
+    pairs = [(di, delta, rep) for di, delta in enumerate(spec.deltas) for rep in range(2)]
+    assert len(rows) == len(pairs)
+    for row, (di, delta, rep) in zip(rows, pairs):
+        noisy = add_noise(prob, delta, child_seed(0, di, rep))
+        k_star, d_star = oracle_stop(run(prob.X, L1(), noisy.y_delta, cfg, reference=cert))
+        assert (float(row["delta"]), int(row["replicate"])) == (delta, rep)
+        assert int(row["k_star"]) == k_star
+        assert float(row["dist_star"]) == pytest.approx(d_star, rel=1e-12)
+
+
 def test_stoptime_single_delta_degenerate_fit(tmp_path):
     spec = spec_for(tmp_path, "stoptime", deltas=(1.0,), replicates=2,
                     problem=TINY_SPARSE, max_iter=400)
@@ -121,7 +145,7 @@ def test_bounds_no_violations_and_csvs(tmp_path):
 def test_bounds_flags_violation(tmp_path, monkeypatch):
     import iterreg.experiments as exp
 
-    monkeypatch.setattr(exp, "stability_gap_bound", lambda k, b: 0.0)
+    monkeypatch.setattr(exp, "stability_gap_bound", lambda k, b: np.zeros(np.shape(k)))
     spec = spec_for(tmp_path, "bounds", deltas=(0.5,), replicates=1,
                     problem=TINY_SPARSE, max_iter=50)
     with pytest.raises(BoundViolation):
@@ -140,6 +164,32 @@ def test_pathcmp_summary_structure(tmp_path):
     assert summary["best_lasso_mse"] > 0
     assert summary["lasso_cum_iters_to_best"] >= summary["best_lasso_index"] + 1
     assert 0 <= summary["best_cp_k"] <= 120
+
+
+def test_pathcmp_csv_cells_are_numbers(tmp_path):
+    spec = spec_for(tmp_path, "pathcmp",
+                    problem={"n": 40, "p": 80, "s": 6, "delta": 1.0, "folds": 2,
+                             "grid_count": 6, "grid_span": 2.0, "lasso_tol": 1e-4,
+                             "lasso_max_iter": 200, "cp_iters": 30})
+    run_pathcmp(spec)
+
+    def is_number(cell):
+        for parse in (int, float):
+            try:
+                parse(cell)
+                return True
+            except ValueError:
+                pass
+        return cell == ""
+
+    files = sorted(spec.out_dir.glob("*.csv"))
+    assert len(files) == 5
+    for f in files:
+        with open(f, newline="") as fh:
+            fh.readline()
+            rows = list(csv.reader(fh))[1:]
+        bad = [cell for row in rows for cell in row if not is_number(cell)]
+        assert rows and not bad, (f.name, bad[:3])
 
 
 def test_tvdemo_constraint_residual(tmp_path):

@@ -18,6 +18,7 @@ from iterreg import (
     norm_bound,
     norm_bound_data,
     identity,
+    iterate,
     lagrangian,
     make_config,
     run,
@@ -165,6 +166,15 @@ class TestStabilityBounds:
         b = BoundInputs(v0=1.0, sigma=0.5, epsilon=0.5, delta=0.0)
         with pytest.raises(ContractViolation):
             stability_gap_bound(0, b)
+        for bound in (stability_gap_bound, stability_feas_bound):
+            with pytest.raises(ContractViolation):
+                bound(np.array([3, 0, 5]), b)
+
+    def test_array_of_k_matches_each_k(self):
+        b = BoundInputs(v0=2.5, sigma=0.3, epsilon=0.6, delta=0.7)
+        ks = np.arange(1, 300)
+        for bound in (stability_gap_bound, stability_feas_bound):
+            assert np.array_equal(bound(ks, b), [bound(int(k), b) for k in ks])
 
     def test_inputs_validated(self):
         with pytest.raises(ContractViolation):
@@ -264,3 +274,17 @@ def test_strongly_convex_gap_controls_residual():
             continue
         g = max(row.gap_avg, 0.0)
         assert row.res_avg_clean ** 2 <= 2.0 * x_norm ** 2 * g * (1 + 1e-8) + 1e-12
+
+
+def test_log_gap_columns_match_gap_and_bregman(small_sql2, small_sql2_cert):
+    X, J, y = small_sql2
+    cert = small_sql2_cert
+    cfg = make_config(X, epsilon=0.9, max_iter=40)
+    states = list(iterate(X, J, y, cfg))
+    log = run(X, J, y, cfg, reference=cert)
+    g_ref = -X.adjoint(cert.theta_star)
+    for st, raw_g, raw_b in zip(states, log.column("gap"), log.column("bregman")):
+        assert max(raw_g, 0.0) == pytest.approx(gap(st.w, st.theta, cert, X, J, y),
+                                                rel=1e-9, abs=1e-12)
+        assert max(raw_b, 0.0) == pytest.approx(bregman(J, st.w, cert.w_star, g_ref),
+                                                rel=1e-9, abs=1e-12)

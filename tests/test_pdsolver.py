@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -5,23 +7,30 @@ from iterreg import (
     CertificationFailure,
     ContractViolation,
     DenseOperator,
+    Grad2D,
     IterateLog,
     L1,
     LogRow,
+    Nuclear,
     NumericalFailure,
     PdState,
     SaddleCertificate,
     SolverConfig,
+    add_noise,
     certify,
+    gen_matcomp,
+    gen_sparse,
     identity,
     initial_state,
     iterate,
     make_config,
+    oracle_stop,
     run,
     step,
     subgradient_residual,
 )
 from iterreg.metrics import BoundInputs, stability_feas_bound, stability_gap_bound, weighted_v
+from iterreg.pdsolver import LOG_COLUMNS, write_csv
 
 from conftest import bp_oracle
 
@@ -92,8 +101,9 @@ class TestStep:
         st = initial_state(X)
         st.w = np.array([np.nan, 0.0])
         st.k = 6
-        with pytest.raises(NumericalFailure, match="iteration 7"):
+        with pytest.raises(NumericalFailure, match="iteration 7") as err:
             step(st, X, J, np.zeros(2), self.cfg())
+        assert err.value.k == 7 and err.value.columns is None
 
     def test_running_average_matches_history(self):
         rng = np.random.default_rng(8)
@@ -233,6 +243,74 @@ class TestCertify:
         with pytest.raises(CertificationFailure, match="within 37 iterations"):
             certify(X, J, y, cfg=make_config(X, max_iter=37), check_every=10)
 
+    def test_failure_names_the_iterations_of_its_best_residuals(self):
+        X = DenseOperator([[1.0, 0.0], [1.0, 0.0]])
+        y = np.array([1.0, 2.0])  # contradictory, so feasibility stalls while w settles
+        with pytest.raises(CertificationFailure) as err:
+            certify(X, L1(), y, cfg=make_config(X, max_iter=95), check_every=10)
+        fail = err.value
+        assert [h[0] for h in fail.history] == [10, 20, 30, 40, 50, 60, 70, 80, 90, 95]
+        feas = [h[1] for h in fail.history]
+        sub = [h[2] for h in fail.history]
+        assert fail.feas_k == fail.history[feas.index(min(feas))][0]
+        assert fail.subgrad_k == fail.history[sub.index(min(sub))][0]
+        assert (fail.feas_res, fail.subgrad_res) == (min(feas), min(sub))
+        assert f"at k={fail.feas_k} " in str(fail) and f"at k={fail.subgrad_k} " in str(fail)
+
+
+def _relative_gap(got, want):
+    """Largest deviation of ``got`` from ``want`` over the largest magnitude of ``want``."""
+    return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300))
+
+
+@pytest.fixture(scope="module")
+def batched_cases(small_sql2, small_sql2_cert):
+    """(X, J, Y, cfg, reference) for an l1, a nuclear and a squared-l2 problem."""
+    cases = []
+    for prob, J, deltas in ((gen_sparse(seed=0), L1(), (0.5, 1.0, 2.0, 4.0)),
+                            (gen_matcomp(seed=0), Nuclear(20, 20), (2.0, 4.0, 6.0))):
+        cert = certify(prob.X, J, prob.y, cfg=make_config(prob.X, max_iter=500_000),
+                       check_every=100)
+        support = prob.X.gain if isinstance(J, Nuclear) else None
+        Y = np.stack([add_noise(prob, d, 7 + i, support=support).y_delta
+                      for i, d in enumerate(deltas)], axis=1)
+        cases.append((prob.X, J, Y, make_config(prob.X, max_iter=600), cert))
+    X, J, y = small_sql2
+    Y = y[:, None] + 0.3 * np.random.default_rng(3).standard_normal((3, 3))
+    cases.append((X, J, Y, make_config(X, max_iter=400, record_every=7), small_sql2_cert))
+    return cases
+
+
+class TestBatched:
+    def test_batched_run_matches_one_run_per_column(self, batched_cases):
+        for X, J, Y, cfg, cert in batched_cases:
+            logs = run(X, J, Y, cfg, reference=cert)
+            assert len(logs) == Y.shape[1]
+            for b, log in enumerate(logs):
+                alone = run(X, J, Y[:, b], cfg, reference=cert)
+                assert np.array_equal(log.ks(), alone.ks())
+                assert oracle_stop(log)[0] == oracle_stop(alone)[0]
+                for c in LOG_COLUMNS[1:]:
+                    assert _relative_gap(log.column(c), alone.column(c)) <= 1e-9, (J, b, c)
+
+    def test_initial_state_has_one_column_per_batch_entry(self, tiny_bp):
+        X, _, _ = tiny_bp
+        st = initial_state(X, (4,))
+        assert st.w.shape == (3, 4) and st.theta.shape == st.xw.shape == (2, 4)
+
+    def test_operator_taking_one_vector_rejects_stacked_data(self):
+        X = Grad2D(2, 2)
+        with pytest.raises(ContractViolation, match="one vector"):
+            next(iterate(X, L1(), np.zeros((X.out_dim, 2)), make_config(X)))
+
+    def test_non_finite_column_is_named(self):
+        X, J = identity(2), L1()
+        Y = np.zeros((2, 3))
+        Y[0, 1] = np.inf
+        with pytest.raises(NumericalFailure, match=r"iteration 1 in columns \[1\]") as err:
+            list(iterate(X, J, Y, make_config(X, max_iter=5)))
+        assert err.value.k == 1 and err.value.columns == [1]
+
 
 class TestIterateLog:
     def test_rows_must_increase(self):
@@ -264,6 +342,15 @@ class TestIterateLog:
         path.write_text(body if tag is None else f"{tag}\n{body}")
         with pytest.raises(ContractViolation, match="iterreg-csv v1"):
             IterateLog.read_csv(path)
+
+    def test_numpy_scalars_written_as_numbers(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ("a", "b", "c"), [(np.float64(0.1), np.int64(3), None)])
+        with open(path, newline="") as fh:
+            assert fh.readline() == "# iterreg-csv v1\n"
+            (rec,) = list(csv.DictReader(fh))
+        assert rec == {"a": "0.1", "b": "3", "c": ""}
+        assert float(rec["a"]) == 0.1
 
     def test_column_with_nan_for_missing(self):
         log = IterateLog()
