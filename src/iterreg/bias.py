@@ -2,8 +2,9 @@
 
 Each bias J is proper, convex, lower semicontinuous with J(0) = 0, and knows
 how to evaluate itself and compute prox_{tau J}. Subgradient membership is
-measured for every bias by one prox fixed-point residual. Biases are
-immutable; all methods are pure.
+measured for every bias by one prox fixed-point residual. ``L1`` can also
+polish an approximate saddle pair into the exact pair on its support.
+Biases are immutable; all methods are pure.
 
 Every bias also acts on a (dim, B) stack of vectors column by column: the
 prox maps each column, and J returns one value per column (a ``float`` for a
@@ -51,6 +52,14 @@ class Bias:
         """argmin_w 0.5*||w - v||^2 + tau*J(w)."""
         raise NotImplementedError
 
+    def polish(self, X, y, w, theta):
+        """A candidate saddle pair of min J s.t. X w = y built from (w, theta), or None.
+
+        The candidate still has to pass the saddle checks; a bias without a
+        polish returns None.
+        """
+        return None
+
 
 class L1(Bias):
     """J(w) = sum_i |w_i|; prox is componentwise soft-thresholding."""
@@ -66,6 +75,23 @@ class L1(Bias):
         if tau == 0:
             return v.copy()
         return soft_threshold(v, tau)
+
+    def polish(self, X, y, w, theta):
+        """The exact pair on the support S and signs s of ``w``, or None when w = 0.
+
+        w becomes the least-squares solution of X_S w_S = y, zero off S, and
+        theta its nearest point with -X_S^T theta = s. Both solves share one
+        pseudo-inverse of X_S.
+        """
+        support = np.flatnonzero(w)
+        if support.size == 0:
+            return None
+        cols = X.columns(support)
+        pinv = np.linalg.pinv(cols)
+        w_pol = np.zeros_like(w)
+        w_pol[support] = pinv @ y
+        theta_pol = theta - pinv.T @ (cols.T @ theta + np.sign(w[support]))
+        return w_pol, theta_pol
 
     def __repr__(self):
         return "L1()"

@@ -428,14 +428,15 @@ def run_solve(spec):
 
 
 def run_certify(spec):
-    """Certify the clean problem and write the pair plus residuals."""
+    """Certify the clean problem; write the pair, its residuals, k and whether it was polished."""
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     prob, J = _problem_for_cli(spec)
     cert = certify(prob.X, J, prob.y, cfg=make_config(prob.X, max_iter=spec.max_iter or 500_000),
                    check_every=100)
     np.savetxt(spec.out_dir / "cert_w.csv", cert.w_star, delimiter=",")
     np.savetxt(spec.out_dir / "cert_theta.csv", cert.theta_star, delimiter=",")
-    meta = {"feas_res": cert.feas_res, "subgrad_res": cert.subgrad_res}
+    meta = {"feas_res": cert.feas_res, "subgrad_res": cert.subgrad_res,
+            "polished": cert.polished, "k": cert.k}
     (spec.out_dir / "cert_meta.json").write_text(json.dumps(meta, indent=2))
     return meta
 

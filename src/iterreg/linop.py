@@ -78,15 +78,20 @@ class LinearOperator:
             self._norm_cache = op_norm(self)
         return self._norm_cache
 
-    def as_matrix(self):
-        """Dense out_dim x in_dim materialization, built column by column."""
-        cols = np.empty((self.out_dim, self.in_dim))
+    def columns(self, idx):
+        """The columns X e_j for j in ``idx``, as an out_dim x len(idx) array."""
+        idx = np.asarray(idx, dtype=int)
+        cols = np.empty((self.out_dim, len(idx)))
         e = np.zeros(self.in_dim)
-        for j in range(self.in_dim):
+        for c, j in enumerate(idx):
             e[j] = 1.0
-            cols[:, j] = self._apply(e)
+            cols[:, c] = self._apply(e)
             e[j] = 0.0
         return cols
+
+    def as_matrix(self):
+        """Dense out_dim x in_dim materialization."""
+        return self.columns(np.arange(self.in_dim))
 
     def _apply(self, w):
         raise NotImplementedError
@@ -117,8 +122,8 @@ class DenseOperator(LinearOperator):
     def _adjoint(self, theta):
         return self.matrix.T @ theta
 
-    def as_matrix(self):
-        return self.matrix.copy()
+    def columns(self, idx):
+        return self.matrix[:, np.asarray(idx, dtype=int)]
 
 
 def identity(dim):
@@ -159,9 +164,6 @@ class MaskOperator(LinearOperator):
 
     def _adjoint(self, theta):
         return (self.gain * theta.T).T
-
-    def as_matrix(self):
-        return np.diag(self.gain)
 
 
 class Grad2D(LinearOperator):

@@ -15,9 +15,10 @@ sides; a stack runs as the B columns of one iteration, w and theta becoming
 records per-iteration diagnostics into an :class:`IterateLog` (one per
 column of a stack), including the averages over w_1..w_k and
 theta_1..theta_k that the rate and stability guarantees attach to;
-``certify`` drives the iteration on clean data until the pair satisfies the
-saddle-point conditions (feasibility plus subgradient inclusion) at tight
-tolerances, producing the reference used by all gap and distance metrics.
+``certify`` drives the iteration on clean data until the pair, or the bias's
+polish of it, satisfies the saddle-point conditions (feasibility plus
+subgradient inclusion) at tight tolerances, producing the reference used by
+all gap and distance metrics.
 """
 
 from __future__ import annotations
@@ -174,7 +175,9 @@ class SaddleCertificate:
     ``-X^T theta_star`` is a subgradient of J at ``w_star`` up to
     ``subgrad_res`` (measured as a prox fixed-point residual). The clean data
     vector is kept so noisy runs can report distances and gaps against the
-    noiseless problem.
+    noiseless problem. ``k`` is the iteration whose check certified, and
+    ``polished`` says whether the pair is the bias's polish of that iterate
+    rather than the iterate itself.
     """
 
     w_star: np.ndarray
@@ -182,6 +185,8 @@ class SaddleCertificate:
     feas_res: float
     subgrad_res: float
     y: np.ndarray
+    polished: bool = False
+    k: int | None = None
 
 
 LOG_COLUMNS = ("k", "res_clean", "res_noisy", "j_val", "dist_ref", "gap",
@@ -367,10 +372,13 @@ def certify(X, J, y, cfg=None, feas_tol=None, subgrad_tol=1e-6, check_every=50):
     """Run on clean data until the saddle conditions hold; return the pair.
 
     The conditions are checked every ``check_every`` iterations and at
-    ``cfg.max_iter``. Defaults: feas_tol = 1e-9 * max(1, ||y||), subgrad_tol =
-    1e-6. Raises :class:`CertificationFailure` with the best residuals
-    achieved, the iterations that reached them and the residuals of every
-    check if the tolerances are not reached within ``cfg.max_iter``.
+    ``cfg.max_iter``. When the iterate fails them, the check also tries the
+    bias's polish of the pair (:meth:`~iterreg.bias.Bias.polish`), accepted
+    under the same tolerances. Defaults: feas_tol = 1e-9 * max(1, ||y||),
+    subgrad_tol = 1e-6. Raises :class:`CertificationFailure` with the best
+    residuals of the iterates, the iterations that reached them and the
+    residuals of every check if the tolerances are not reached within
+    ``cfg.max_iter``.
     """
     y = as_vector(y, X.out_dim, "y")
     if cfg is None:
@@ -379,18 +387,30 @@ def certify(X, J, y, cfg=None, feas_tol=None, subgrad_tol=1e-6, check_every=50):
         feas_tol = 1e-9 * max(1.0, float(np.linalg.norm(y)))
     # every check's residuals, in compact arrays: a certification can make thousands
     checked, feas_hist, sub_hist = array("q"), array("d"), array("d")
+
+    def residuals(w, xw, theta):
+        return float(np.linalg.norm(xw - y)), subgradient_residual(J, w, -X.adjoint(theta))
+
+    def passes(feas, sub):
+        return feas <= feas_tol and sub <= subgrad_tol
+
     for state in iterate(X, J, y, cfg):
         if state.k == 0 or (state.k % check_every and state.k != cfg.max_iter):
             continue
-        feas = float(np.linalg.norm(state.xw - y))
-        sub = subgradient_residual(J, state.w, -X.adjoint(state.theta))
+        feas, sub = residuals(state.w, state.xw, state.theta)
         checked.append(state.k)
         feas_hist.append(feas)
         sub_hist.append(sub)
-        if feas <= feas_tol and sub <= subgrad_tol:
+        pair, polished = (state.w, state.theta), False
+        if not passes(feas, sub):
+            pair, polished = J.polish(X, y, state.w, state.theta), True
+            if pair is None:
+                continue
+            feas, sub = residuals(pair[0], X.apply(pair[0]), pair[1])
+        if passes(feas, sub):
             return SaddleCertificate(
-                w_star=state.w.copy(), theta_star=state.theta.copy(),
-                feas_res=feas, subgrad_res=sub, y=y.copy())
+                w_star=pair[0].copy(), theta_star=pair[1].copy(), feas_res=feas,
+                subgrad_res=sub, y=y.copy(), polished=polished, k=state.k)
     history = list(zip(checked, feas_hist, sub_hist))
     none = (None, np.inf, np.inf)
     feas_k, best_feas, _ = min(history, key=lambda h: h[1], default=none)

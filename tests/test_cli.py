@@ -52,6 +52,15 @@ def test_solve_then_certify_loaded_problem(tmp_path, capsys):
     assert np.loadtxt(tmp_path / "c" / "cert_w.csv", delimiter=",").shape == (20,)
 
 
+def test_certify_polishes_the_seed_1_sparse_instance(tmp_path, capsys):
+    rc, out = run_cli(capsys, "certify", "--seed", "1", "--out", str(tmp_path / "c"))
+    assert rc == 0
+    meta = json.loads((tmp_path / "c" / "cert_meta.json").read_text())
+    assert meta == json.loads(out)
+    assert meta["polished"] is True and meta["k"] % 100 == 0
+    assert meta["feas_res"] <= 1e-9 * 20.0 and meta["subgrad_res"] <= 1e-6
+
+
 def test_semiconv_command(tmp_path, capsys):
     rc, out = run_cli(capsys, "semiconv", "--n", "30", "--p", "60", "--s", "5",
                       "--y-norm", "6", "--delta", "0.5", "--replicates", "2",

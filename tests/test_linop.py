@@ -171,6 +171,8 @@ def test_as_matrix_matches_apply():
         m = op.as_matrix()
         w = rng.standard_normal(op.in_dim)
         assert np.allclose(m @ w, op.apply(w), atol=1e-12)
+        idx = [op.in_dim - 1, 0, 2]
+        assert np.array_equal(op.columns(idx), m[:, idx])
 
 
 def test_stack_matches_columns():

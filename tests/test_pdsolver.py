@@ -238,24 +238,62 @@ class TestCertify:
             certify(X, L1(), y, cfg=make_config(X, max_iter=2000), check_every=10)
         assert err.value.feas_res > 0
 
-    def test_budget_exhaustion_names_max_iter(self, tiny_bp):
-        X, J, y = tiny_bp
+    def test_budget_exhaustion_names_max_iter(self):
+        X = DenseOperator([[1.0, 0.0], [1.0, 0.0]])
+        y = np.array([1.0, 2.0])  # contradictory, so neither iterate nor polish certifies
         with pytest.raises(CertificationFailure, match="within 37 iterations"):
-            certify(X, J, y, cfg=make_config(X, max_iter=37), check_every=10)
+            certify(X, L1(), y, cfg=make_config(X, max_iter=37), check_every=10)
 
     def test_failure_names_the_iterations_of_its_best_residuals(self):
         X = DenseOperator([[1.0, 0.0], [1.0, 0.0]])
         y = np.array([1.0, 2.0])  # contradictory, so feasibility stalls while w settles
+        J = L1()
+        cfg = make_config(X, max_iter=95)
         with pytest.raises(CertificationFailure) as err:
-            certify(X, L1(), y, cfg=make_config(X, max_iter=95), check_every=10)
+            certify(X, J, y, cfg=cfg, check_every=10)
         fail = err.value
-        assert [h[0] for h in fail.history] == [10, 20, 30, 40, 50, 60, 70, 80, 90, 95]
+        checks = [10, 20, 30, 40, 50, 60, 70, 80, 90, 95]
+        assert [h[0] for h in fail.history] == checks
+        # the history holds the residuals of the iterates, not of their polish
+        assert fail.history == [(st.k, float(np.linalg.norm(st.xw - y)),
+                                 subgradient_residual(J, st.w, -X.adjoint(st.theta)))
+                                for st in iterate(X, J, y, cfg) if st.k in checks]
         feas = [h[1] for h in fail.history]
         sub = [h[2] for h in fail.history]
         assert fail.feas_k == fail.history[feas.index(min(feas))][0]
         assert fail.subgrad_k == fail.history[sub.index(min(sub))][0]
         assert (fail.feas_res, fail.subgrad_res) == (min(feas), min(sub))
         assert f"at k={fail.feas_k} " in str(fail) and f"at k={fail.subgrad_k} " in str(fail)
+
+
+class TestPolish:
+    def test_criterion_1_instances_certify_polished_at_the_oracle(self):
+        for trial in range(5):
+            rng = np.random.default_rng(1000 + trial)
+            Xm, y = rng.standard_normal((4, 8)), rng.standard_normal(4)
+            X = DenseOperator(Xm)
+            cert = certify(X, L1(), y, cfg=make_config(X, max_iter=400_000),
+                           feas_tol=1e-11, subgrad_tol=1e-9, check_every=25)
+            assert cert.polished and cert.k % 25 == 0
+            assert np.linalg.norm(cert.w_star - bp_oracle(Xm, y)[0]) <= 1e-9
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_degenerate_sparse_seeds_certify(self, seed):
+        prob = gen_sparse(seed=seed)
+        cert = certify(prob.X, L1(), prob.y, cfg=make_config(prob.X, max_iter=20_000),
+                       check_every=100)
+        Xm, y, w, theta = prob.X.matrix, prob.y, cert.w_star, cert.theta_star
+        assert cert.polished and cert.k <= 20_000
+        assert np.linalg.norm(Xm @ w - y) <= 1e-9 * np.linalg.norm(y)
+        corr = -Xm.T @ theta
+        assert np.max(np.abs(corr)) <= 1.0 + 1e-9
+        on = np.flatnonzero(w)
+        assert np.array_equal(np.sign(corr[on]), np.sign(w[on]))
+        assert np.allclose(corr[on], np.sign(w[on]), rtol=0, atol=1e-9)
+
+    def test_biases_without_a_polish_certify_plain(self, small_nuclear_cert, small_sql2_cert):
+        for cert in (small_nuclear_cert, small_sql2_cert):
+            assert cert.polished is False and cert.k % 100 == 0
 
 
 def _relative_gap(got, want):
