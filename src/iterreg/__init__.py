@@ -36,7 +36,6 @@ from .metrics import (
 )
 from .pdsolver import (
     IterateLog,
-    LogRow,
     PdState,
     SaddleCertificate,
     SolverConfig,

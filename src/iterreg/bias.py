@@ -77,14 +77,16 @@ class L1(Bias):
         return soft_threshold(v, tau)
 
     def polish(self, X, y, w, theta):
-        """The exact pair on the support S and signs s of ``w``, or None when w = 0.
+        """The exact pair on the support S and signs s of ``w``, or None.
 
         w becomes the least-squares solution of X_S w_S = y, zero off S, and
         theta its nearest point with -X_S^T theta = s. Both solves share one
-        pseudo-inverse of X_S.
+        pseudo-inverse of X_S. None when w = 0, or when S has more entries
+        than X has rows: then -X_S^T theta = s is overdetermined, and on
+        generic data no candidate passes the checks.
         """
         support = np.flatnonzero(w)
-        if support.size == 0:
+        if not 0 < support.size <= X.out_dim:
             return None
         cols = X.columns(support)
         pinv = np.linalg.pinv(cols)

@@ -83,6 +83,7 @@ def build_parser():
     solve.add_argument("--delta", type=float, action=_Once, default=None, help="noise level")
     certify = sub.add_parser("certify", help="certify the clean saddle pair of a problem")
     _common(certify, "out/certify", "--max-iter")
+    certify.set_defaults(max_iter=500_000)
     for p in (solve, certify):
         p.add_argument("--problem", choices=("sparse", "matcomp"), default="sparse")
         p.add_argument("--load", default=None, help="load a problem directory instead of generating")

@@ -98,7 +98,8 @@ def _distance_curves(spec, prob, J, noise_support=None):
     cert = _clean_certificate(prob, J)
     cfg = make_config(prob.X, epsilon=spec.eps, max_iter=spec.max_iter,
                       record_every=spec.record_every)
-    logs = iter(run(prob.X, J, _noisy_stack(spec, prob, noise_support), cfg, reference=cert))
+    logs = iter(run(prob.X, J, _noisy_stack(spec, prob, noise_support), cfg, reference=cert,
+                    columns=("dist_ref", "dist_avg_ref")))
     runs, summary_rows, svg_series, svg_marks = [], [], [], []
     per_delta = {}
     for delta in spec.deltas:
@@ -259,7 +260,8 @@ def run_bounds(spec, eps_list=(0.25, 0.5, 0.9)):
         cfg = make_config(prob.X, epsilon=eps, max_iter=spec.max_iter,
                           record_every=spec.record_every)
         v0 = weighted_v(-cert.w_star, -cert.theta_star, cfg.tau, cfg.sigma)
-        logs = iter(run(prob.X, J, Y, cfg, reference=cert))
+        logs = iter(run(prob.X, J, Y, cfg, reference=cert,
+                        columns=("gap_avg", "res_avg_clean")))
         for delta in spec.deltas:
             b = BoundInputs(v0=v0, sigma=cfg.sigma, epsilon=eps, delta=delta)
             for rep in range(spec.replicates):

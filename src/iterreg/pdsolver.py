@@ -14,7 +14,8 @@ sides; a stack runs as the B columns of one iteration, w and theta becoming
 (p, B) and (n, B) arrays, and every update acts column by column. ``run``
 records per-iteration diagnostics into an :class:`IterateLog` (one per
 column of a stack), including the averages over w_1..w_k and
-theta_1..theta_k that the rate and stability guarantees attach to;
+theta_1..theta_k that the rate and stability guarantees attach to, and
+computes only the log columns its caller asks for;
 ``certify`` drives the iteration on clean data until the pair, or the bias's
 polish of it, satisfies the saddle-point conditions (feasibility plus
 subgradient inclusion) at tight tolerances, producing the reference used by
@@ -44,7 +45,6 @@ __all__ = [
     "run",
     "certify",
     "SaddleCertificate",
-    "LogRow",
     "IterateLog",
     "CSV_VERSION",
     "write_csv",
@@ -193,20 +193,6 @@ LOG_COLUMNS = ("k", "res_clean", "res_noisy", "j_val", "dist_ref", "gap",
                "bregman", "res_avg_clean", "dist_avg_ref", "gap_avg")
 
 
-@dataclass(frozen=True)
-class LogRow:
-    k: int
-    res_clean: float
-    res_noisy: float
-    j_val: float
-    dist_ref: float | None = None
-    gap: float | None = None
-    bregman: float | None = None
-    res_avg_clean: float | None = None
-    dist_avg_ref: float | None = None
-    gap_avg: float | None = None
-
-
 class IterateLog:
     """Recorded diagnostics, strictly increasing in k.
 
@@ -226,23 +212,11 @@ class IterateLog:
         if any(v.shape != self._k.shape for v in self._values.values()):
             raise ContractViolation("every log column needs one value per k")
 
-    def append(self, row):
-        if len(self) and row.k <= self._k[-1]:
-            raise ContractViolation(f"log rows must increase in k, got {row.k} after {self._k[-1]}")
-        self._k = np.append(self._k, row.k)
-        for c, v in self._values.items():
-            self._values[c] = np.append(v, np.nan if getattr(row, c) is None else getattr(row, c))
-
     def _records(self):
         """Each row as a tuple in ``LOG_COLUMNS`` order, None where not recorded."""
         cols = [self._values[c].tolist() for c in LOG_COLUMNS[1:]]
         for k, *vals in zip(self._k.tolist(), *cols):
             yield (k, *(None if v != v else v for v in vals))
-
-    @property
-    def rows(self):
-        """The log as :class:`LogRow` records, built on each access."""
-        return [LogRow(*rec) for rec in self._records()]
 
     def column(self, name):
         """Column as a float array; missing values are NaN."""
@@ -278,68 +252,68 @@ def _norms(a):
 
 
 class _Recorder:
-    """Fills the log columns at the recorded iterations, all columns of a stack at once.
+    """Fills the asked-for log columns at the recorded iterations, all columns of a stack at once.
 
     Values go into arrays preallocated for the recorded k; the gap and bregman
-    columns are raw values of :func:`~iterreg.metrics.raw_gap`. With a
-    reference it also keeps the running sums of w, theta and X w over k >= 1
-    that the averaged columns read; ``add`` must see every state.
+    columns are raw values of :func:`~iterreg.metrics.raw_gap`. It computes
+    only what its columns read: J(w), J of the averaged w, J(w*), and the
+    running sums of w, theta and X w over k >= 1; ``add`` must see every state.
     """
 
-    def __init__(self, X, J, y_obs, cfg, reference):
-        self.J, self.y_obs, self.ref = J, y_obs, reference
+    def __init__(self, X, J, y_obs, cfg, reference, columns):
+        self.J, self.y_obs, self.y_clean = J, y_obs, y_obs
         self.record_every, self.max_iter = cfg.record_every, cfg.max_iter
         self.ks = np.unique(np.append(np.arange(0, cfg.max_iter + 1, cfg.record_every),
                                       cfg.max_iter))
         batch = y_obs.shape[1:]
-        self.values = {c: np.full((len(self.ks), *batch), np.nan) for c in LOG_COLUMNS[1:]}
+        self.values = {c: np.full((len(self.ks), *batch), np.nan) for c in columns}
         self.row = 0
+        asked = set(columns)
+        self.needs_jw = not asked.isdisjoint(("j_val", "gap", "bregman"))
+        readers = {"w": (X.in_dim, "dist_avg_ref", "gap_avg"), "theta": (X.out_dim, "gap_avg"),
+                   "xw": (X.out_dim, "res_avg_clean", "gap_avg")}
+        self.sums = {name: np.zeros((dim, *batch)) for name, (dim, *cols) in readers.items()
+                     if not asked.isdisjoint(cols)}
         if reference is not None:
             # reference vectors as one column, to line up with each column of a stack
             col = (-1, 1) if batch else (-1,)
             self.y_clean = reference.y.reshape(col)
             self.w_star = reference.w_star.reshape(col)
             self.theta_star = reference.theta_star
-            self.j_star = J(reference.w_star)
-            self.r_star = X.apply(reference.w_star) - reference.y
-            self.w_sum = np.zeros((X.in_dim, *batch))
-            self.theta_sum = np.zeros((X.out_dim, *batch))
-            self.xw_sum = np.zeros((X.out_dim, *batch))
-        else:
-            self.y_clean = y_obs
+            if not asked.isdisjoint(("gap", "bregman", "gap_avg")):
+                self.j_star = J(reference.w_star)
+                self.r_star = X.apply(reference.w_star) - reference.y
 
     def add(self, state):
-        if self.ref is not None and state.k > 0:
-            self.w_sum += state.w
-            self.theta_sum += state.theta
-            self.xw_sum += state.xw
+        if state.k > 0:
+            for name, total in self.sums.items():
+                total += getattr(state, name)
         if state.k % self.record_every == 0 or state.k == self.max_iter:
             self._record(state)
             self.row += 1
-
-    def _averages(self, state):
-        if state.k == 0:
-            return state.w, state.theta, state.xw
-        return self.w_sum / state.k, self.theta_sum / state.k, self.xw_sum / state.k
 
     def _gap(self, jw, xw, theta):
         return raw_gap(jw, xw, theta, self.j_star, self.theta_star, self.y_clean, self.r_star)
 
     def _record(self, state):
-        out, i, xw = self.values, self.row, state.xw
-        j_val = self.J(state.w)
-        out["j_val"][i] = j_val
-        out["res_noisy"][i] = _norms(xw - self.y_obs)
-        out["res_clean"][i] = _norms(xw - self.y_clean)
-        if self.ref is None:
-            return
-        w_avg, theta_avg, xw_avg = self._averages(state)
-        out["dist_ref"][i] = _norms(state.w - self.w_star)
-        out["gap"][i] = self._gap(j_val, xw, state.theta)
-        out["bregman"][i] = self._gap(j_val, xw, self.theta_star)
-        out["res_avg_clean"][i] = _norms(xw_avg - self.y_clean)
-        out["dist_avg_ref"][i] = _norms(w_avg - self.w_star)
-        out["gap_avg"][i] = self._gap(self.J(w_avg), xw_avg, theta_avg)
+        w, theta, xw, k = state.w, state.theta, state.xw, state.k
+        # at k = 0 the averages are the initial point itself
+        avg = {name: getattr(state, name) if k == 0 else total / k
+               for name, total in self.sums.items()}
+        jw = self.J(w) if self.needs_jw else None
+        formulas = {
+            "res_clean": lambda: _norms(xw - self.y_clean),
+            "res_noisy": lambda: _norms(xw - self.y_obs),
+            "j_val": lambda: jw,
+            "dist_ref": lambda: _norms(w - self.w_star),
+            "gap": lambda: self._gap(jw, xw, theta),
+            "bregman": lambda: self._gap(jw, xw, self.theta_star),
+            "res_avg_clean": lambda: _norms(avg["xw"] - self.y_clean),
+            "dist_avg_ref": lambda: _norms(avg["w"] - self.w_star),
+            "gap_avg": lambda: self._gap(self.J(avg["w"]), avg["xw"], avg["theta"]),
+        }
+        for name, out in self.values.items():
+            out[self.row] = formulas[name]()
 
     def logs(self):
         """One log for a vector; for a stack, the list of the logs of its columns."""
@@ -351,18 +325,34 @@ class _Recorder:
                 for b in range(self.y_obs.shape[1])]
 
 
-def run(X, J, y_obs, cfg, reference=None):
+def _log_columns(columns, reference):
+    """The asked-for columns in ``LOG_COLUMNS`` order, None asking for all the reference allows."""
+    computable = LOG_COLUMNS[1:] if reference is not None else LOG_COLUMNS[1:4]
+    if columns is None:
+        return computable
+    for name in columns:
+        if name not in LOG_COLUMNS[1:]:
+            raise ContractViolation(f"unknown log column {name!r}")
+        if name not in computable:
+            raise ContractViolation(f"log column {name!r} needs a reference certificate")
+    return tuple(c for c in computable if c in columns)
+
+
+def run(X, J, y_obs, cfg, reference=None, columns=None):
     """Execute the iteration on ``y_obs`` and return the diagnostic log.
 
     Diagnostics are recorded at k = 0, every ``cfg.record_every`` iterations,
-    and at the final iteration. When ``reference`` is given, distance, gap and
-    Bregman columns are computed against the certificate and the clean data it
-    carries; the gap columns store the plain Lagrangian difference without
-    clamping. For an (n, B) stack ``y_obs`` the B columns run as one batched
-    iteration and the result is the list of their B logs, in column order.
+    and at the final iteration. ``columns`` names the columns computed besides
+    ``k``, the others staying NaN; None asks for all that the arguments allow.
+    The distance, gap and Bregman columns need ``reference`` and are measured
+    against the certificate and the clean data it carries; the gap columns
+    store the plain Lagrangian difference without clamping. For an (n, B)
+    stack ``y_obs`` the B columns run as one batched iteration and the result
+    is the list of their B logs, in column order.
     """
+    columns = _log_columns(columns, reference)
     y_obs = as_vector(y_obs, X.out_dim, "y_obs", X.columnwise)
-    rec = _Recorder(X, J, y_obs, cfg, reference)
+    rec = _Recorder(X, J, y_obs, cfg, reference, columns)
     for state in iterate(X, J, y_obs, cfg):
         rec.add(state)
     return rec.logs()

@@ -81,18 +81,17 @@ def test_criterion_2_noiseless_rate_bounds(sparse_instance):
     for eps in (0.25, 0.5, 0.9):
         t0 = time.monotonic()
         cfg = make_config(prob.X, epsilon=eps, max_iter=5000, record_every=1)
-        log = run(prob.X, J, prob.y, cfg, reference=cert)
+        log = run(prob.X, J, prob.y, cfg, reference=cert, columns=("gap_avg", "res_avg_clean"))
         v0 = weighted_v(-cert.w_star, -cert.theta_star, cfg.tau, cfg.sigma)
         b = BoundInputs(v0=v0, sigma=cfg.sigma, epsilon=eps, delta=0.0)
-        for row in log.rows:
-            if row.k < 1:
-                continue
-            gap_bound = v0 / row.k
-            feas_bound = 2 * (1 + eps) * v0 / (cfg.sigma * eps * (1 - eps) * row.k)
-            assert gap_bound == pytest.approx(stability_gap_bound(row.k, b))
-            assert feas_bound == pytest.approx(stability_feas_bound(row.k, b))
-            worst_gap = max(worst_gap, row.gap_avg / gap_bound)
-            worst_feas = max(worst_feas, row.res_avg_clean ** 2 / feas_bound)
+        past = log.ks() >= 1
+        k = log.ks()[past]
+        gap_bound = v0 / k
+        feas_bound = 2 * (1 + eps) * v0 / (cfg.sigma * eps * (1 - eps) * k)
+        assert gap_bound == pytest.approx(stability_gap_bound(k, b))
+        assert feas_bound == pytest.approx(stability_feas_bound(k, b))
+        worst_gap = max(worst_gap, np.max(log.column("gap_avg")[past] / gap_bound))
+        worst_feas = max(worst_feas, np.max(log.column("res_avg_clean")[past] ** 2 / feas_bound))
         elapsed = time.monotonic() - t0
         ok = ok and elapsed < 60.0
         details.append(f"eps={eps}: {elapsed:.1f}s")
@@ -116,13 +115,14 @@ def test_criterion_3_noisy_stability_bounds(sparse_instance):
         b = BoundInputs(v0=v0, sigma=cfg.sigma, epsilon=eps, delta=delta)
         for seed_idx in range(5):
             noisy = add_noise(prob, delta, child_seed(0, 300 + di, seed_idx))
-            log = run(prob.X, J, noisy.y_delta, cfg, reference=cert)
-            for row in log.rows:
-                if row.k < 1:
-                    continue
-                worst_gap = max(worst_gap, row.gap_avg / stability_gap_bound(row.k, b))
-                worst_feas = max(worst_feas,
-                                 row.res_avg_clean ** 2 / stability_feas_bound(row.k, b))
+            log = run(prob.X, J, noisy.y_delta, cfg, reference=cert,
+                      columns=("gap_avg", "res_avg_clean"))
+            past = log.ks() >= 1
+            k = log.ks()[past]
+            worst_gap = max(worst_gap,
+                            np.max(log.column("gap_avg")[past] / stability_gap_bound(k, b)))
+            worst_feas = max(worst_feas, np.max(log.column("res_avg_clean")[past] ** 2
+                                                / stability_feas_bound(k, b)))
     elapsed = time.monotonic() - t0
     ok = worst_gap <= 1 + 1e-8 and worst_feas <= 1 + 1e-8 and elapsed < 300.0
     report("criterion 3 (noisy stability bounds)", ok,

@@ -61,6 +61,13 @@ def test_certify_polishes_the_seed_1_sparse_instance(tmp_path, capsys):
     assert meta["feas_res"] <= 1e-9 * 20.0 and meta["subgrad_res"] <= 1e-6
 
 
+def test_certify_budget_reaches_the_seed_3_sparse_instance(tmp_path, capsys):
+    # the seed-3 instance first polishes at k = 7100, beyond the other commands' 5000
+    rc, out = run_cli(capsys, "certify", "--seed", "3", "--out", str(tmp_path / "c"))
+    assert rc == 0
+    assert json.loads(out)["k"] == 7100
+
+
 def test_semiconv_command(tmp_path, capsys):
     rc, out = run_cli(capsys, "semiconv", "--n", "30", "--p", "60", "--s", "5",
                       "--y-norm", "6", "--delta", "0.5", "--replicates", "2",

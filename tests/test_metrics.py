@@ -269,11 +269,10 @@ def test_strongly_convex_gap_controls_residual():
     x_norm = np.linalg.svd(X.matrix, compute_uv=False)[0]
     cfg = make_config(X, epsilon=0.9, max_iter=400)
     log = run(X, J, y, cfg, reference=cert)
-    for row in log.rows:
-        if row.k < 1:
-            continue
-        g = max(row.gap_avg, 0.0)
-        assert row.res_avg_clean ** 2 <= 2.0 * x_norm ** 2 * g * (1 + 1e-8) + 1e-12
+    past = log.ks() >= 1
+    g = np.maximum(log.column("gap_avg")[past], 0.0)
+    assert np.all(log.column("res_avg_clean")[past] ** 2
+                  <= 2.0 * x_norm ** 2 * g * (1 + 1e-8) + 1e-12)
 
 
 def test_log_gap_columns_match_gap_and_bregman(small_sql2, small_sql2_cert):

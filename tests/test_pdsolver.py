@@ -10,7 +10,6 @@ from iterreg import (
     Grad2D,
     IterateLog,
     L1,
-    LogRow,
     Nuclear,
     NumericalFailure,
     PdState,
@@ -90,11 +89,12 @@ class TestStep:
         assert np.array_equal(st.xw, X.apply(st.w))
         # at k = 0 the averaged columns read the initial point itself
         cfg = make_config(X, max_iter=0)
-        (row,) = run(X, J, y, cfg, reference=tiny_bp_cert).rows
-        assert row.dist_ref == np.linalg.norm(tiny_bp_cert.w_star)
-        assert row.dist_avg_ref == row.dist_ref
-        assert row.res_avg_clean == row.res_clean
-        assert row.gap_avg == row.gap
+        log = run(X, J, y, cfg, reference=tiny_bp_cert)
+        assert list(log.ks()) == [0]
+        assert log.column("dist_ref")[0] == np.linalg.norm(tiny_bp_cert.w_star)
+        assert log.column("dist_avg_ref")[0] == log.column("dist_ref")[0]
+        assert log.column("res_avg_clean")[0] == log.column("res_clean")[0]
+        assert log.column("gap_avg")[0] == log.column("gap")[0]
 
     def test_non_finite_raises_with_iteration(self):
         X, J = identity(2), L1()
@@ -117,13 +117,14 @@ class TestStep:
         states = list(iterate(X, J, y, cfg))
         log = run(X, J, y, cfg, reference=ref)
         assert list(log.ks()) == [0, 7, 14, 21, 28, 35, 42, 49, 56, 60]
-        for row in log.rows[1:]:
-            w_mean = np.mean([s.w for s in states[1:row.k + 1]], axis=0)
-            xw_mean = np.mean([s.xw for s in states[1:row.k + 1]], axis=0)
+        for k, dist_avg, res_avg in zip(log.ks()[1:], log.column("dist_avg_ref")[1:],
+                                        log.column("res_avg_clean")[1:]):
+            w_mean = np.mean([s.w for s in states[1:k + 1]], axis=0)
+            xw_mean = np.mean([s.xw for s in states[1:k + 1]], axis=0)
             dist = np.linalg.norm(w_mean - ref.w_star)
             res = np.linalg.norm(xw_mean - y_clean)
-            assert row.dist_avg_ref == pytest.approx(dist, rel=1e-12, abs=1e-14)
-            assert row.res_avg_clean == pytest.approx(res, rel=1e-12, abs=1e-14)
+            assert dist_avg == pytest.approx(dist, rel=1e-12, abs=1e-14)
+            assert res_avg == pytest.approx(res, rel=1e-12, abs=1e-14)
 
     def test_theta_is_scaled_residual_sum(self):
         rng = np.random.default_rng(9)
@@ -168,7 +169,7 @@ class TestRun:
         cfg = make_config(X, max_iter=0)
         log = run(X, J, y, cfg)
         assert len(log) == 1
-        assert log.rows[0].k == 0
+        assert log.ks()[0] == 0
 
     def test_record_every_includes_final(self):
         X, J, y = identity(2), L1(), np.array([1.0, -1.0])
@@ -180,10 +181,10 @@ class TestRun:
         X, J, y = tiny_bp
         cfg = make_config(X, max_iter=100_000, record_every=1000)
         log = run(X, J, y, cfg)
-        assert log.rows[-1].res_clean <= 1e-8
+        assert log.column("res_clean")[-1] <= 1e-8
         w_oracle, obj = bp_oracle(X.matrix, y)
         assert np.allclose(w_oracle, [0.0, 0.0, 1.0])
-        assert log.rows[-1].j_val == pytest.approx(obj, abs=1e-6)
+        assert log.column("j_val")[-1] == pytest.approx(obj, abs=1e-6)
 
     def test_determinism(self, tiny_bp, tmp_path):
         X, J, y = tiny_bp
@@ -201,12 +202,12 @@ class TestRun:
         log = run(X, J, y, cfg, reference=tiny_bp_cert)
         v0 = weighted_v(-tiny_bp_cert.w_star, -tiny_bp_cert.theta_star, cfg.tau, cfg.sigma)
         b = BoundInputs(v0=v0, sigma=cfg.sigma, epsilon=eps, delta=0.0)
-        for row in log.rows:
-            if row.k < 1:
-                continue
-            assert row.gap_avg <= stability_gap_bound(row.k, b) * (1 + 1e-8)
-            assert row.res_avg_clean ** 2 <= stability_feas_bound(row.k, b) * (1 + 1e-8)
-        assert log.rows[-1].res_clean <= 1e-3  # residual decays on clean data
+        past = log.ks() >= 1
+        k = log.ks()[past]
+        assert np.all(log.column("gap_avg")[past] <= stability_gap_bound(k, b) * (1 + 1e-8))
+        assert np.all(log.column("res_avg_clean")[past] ** 2
+                      <= stability_feas_bound(k, b) * (1 + 1e-8))
+        assert log.column("res_clean")[-1] <= 1e-3  # residual decays on clean data
 
 
 class TestCertify:
@@ -295,6 +296,16 @@ class TestPolish:
         for cert in (small_nuclear_cert, small_sql2_cert):
             assert cert.polished is False and cert.k % 100 == 0
 
+    def test_support_larger_than_the_rows_is_not_polished(self):
+        rng = np.random.default_rng(4)
+        X, y = DenseOperator(rng.standard_normal((4, 8))), rng.standard_normal(4)
+        w, theta = np.zeros(8), np.zeros(4)
+        w[:5] = rng.standard_normal(5)
+        assert L1().polish(X, y, w, theta) is None
+        w[4] = 0.0  # a support of exactly n = 4 entries is still polished
+        w_pol, _ = L1().polish(X, y, w, theta)
+        assert np.allclose(X.apply(w_pol), y) and np.array_equal(w_pol[4:], np.zeros(4))
+
 
 def _relative_gap(got, want):
     """Largest deviation of ``got`` from ``want`` over the largest magnitude of ``want``."""
@@ -350,27 +361,75 @@ class TestBatched:
         assert err.value.k == 1 and err.value.columns == [1]
 
 
+class _CountingBias:
+    """A bias that counts its evaluations J(w) in ``calls``."""
+
+    def __init__(self, J):
+        self.J, self.calls = J, 0
+
+    def __call__(self, w):
+        self.calls += 1
+        return self.J(w)
+
+    def prox(self, tau, v):
+        return self.J.prox(tau, v)
+
+
+class TestColumns:
+    # the columns that the distance curves and the bound checks of the experiments ask for
+    SUBSETS = (("dist_ref", "dist_avg_ref"), ("gap_avg", "res_avg_clean"))
+
+    def test_subset_matches_the_default_run_and_leaves_the_rest_empty(self, batched_cases):
+        for X, J, Y, cfg, cert in batched_cases:
+            full = run(X, J, Y, cfg, reference=cert)
+            for columns in self.SUBSETS:
+                counted = _CountingBias(J)
+                logs = run(X, counted, Y, cfg, reference=cert, columns=columns)
+                # J(w_avg) once per recorded row for gap_avg, plus J(w*) once
+                assert counted.calls == (len(full[0]) + 1 if "gap_avg" in columns else 0)
+                for log, want in zip(logs, full, strict=True):
+                    assert np.array_equal(log.ks(), want.ks())
+                    for c in LOG_COLUMNS[1:]:
+                        if c in columns:
+                            assert np.array_equal(log.column(c), want.column(c)), (J, c)
+                        else:
+                            assert np.all(np.isnan(log.column(c))), (J, c)
+
+    def test_unknown_or_unreferenced_columns_raise(self, tiny_bp, tiny_bp_cert):
+        X, J, y = tiny_bp
+        cfg = make_config(X, max_iter=3)
+        with pytest.raises(ContractViolation, match="unknown log column 'dist'"):
+            run(X, J, y, cfg, reference=tiny_bp_cert, columns=("dist_ref", "dist"))
+        for c in ("dist_ref", "gap", "bregman", "res_avg_clean", "dist_avg_ref", "gap_avg"):
+            with pytest.raises(ContractViolation, match="needs a reference"):
+                run(X, J, y, cfg, columns=("res_noisy", c))
+        log = run(X, J, y, cfg, columns=("res_noisy",))
+        assert np.array_equal(log.column("res_noisy"), run(X, J, y, cfg).column("res_noisy"))
+        assert np.all(np.isnan(log.column("j_val")))
+
+
 class TestIterateLog:
     def test_rows_must_increase(self):
-        log = IterateLog()
-        log.append(LogRow(k=0, res_clean=1.0, res_noisy=1.0, j_val=0.0))
+        IterateLog(k=[0], res_clean=[1.0], res_noisy=[1.0], j_val=[0.0])
         with pytest.raises(ContractViolation):
-            log.append(LogRow(k=0, res_clean=0.5, res_noisy=0.5, j_val=0.0))
+            IterateLog(k=[0, 0], res_clean=[1.0, 0.5], res_noisy=[1.0, 0.5], j_val=[0.0, 0.0])
 
     def test_csv_round_trip_with_missing_columns(self, tmp_path):
-        log = IterateLog()
-        log.append(LogRow(k=0, res_clean=1.5, res_noisy=1.25, j_val=0.5))
-        log.append(LogRow(k=3, res_clean=0.5, res_noisy=0.25, j_val=1.0,
-                          dist_ref=0.125, gap=1e-3, bregman=2e-3,
-                          res_avg_clean=0.75, dist_avg_ref=0.375, gap_avg=5e-4))
+        nan = np.nan
+        log = IterateLog(k=[0, 3], res_clean=[1.5, 0.5], res_noisy=[1.25, 0.25],
+                         j_val=[0.5, 1.0], dist_ref=[nan, 0.125], gap=[nan, 1e-3],
+                         bregman=[nan, 2e-3], res_avg_clean=[nan, 0.75],
+                         dist_avg_ref=[nan, 0.375], gap_avg=[nan, 5e-4])
         path = tmp_path / "log.csv"
         log.write_csv(path)
         text = path.read_text().splitlines()
         assert text[0] == "# iterreg-csv v1"
         assert text[1].startswith("k,res_clean,res_noisy,j_val,dist_ref,gap,bregman")
         back = IterateLog.read_csv(path)
-        assert back.rows[0].dist_ref is None
-        assert back.rows[1] == log.rows[1]
+        assert np.isnan(back.column("dist_ref")[0])
+        assert np.array_equal(back.ks(), log.ks())
+        for c in LOG_COLUMNS[1:]:
+            assert np.array_equal(back.column(c), log.column(c), equal_nan=True), c
 
     @pytest.mark.parametrize("tag", [None, "# iterreg-csv v2"])
     def test_read_requires_schema_tag(self, tmp_path, tag):
@@ -391,8 +450,7 @@ class TestIterateLog:
         assert float(rec["a"]) == 0.1
 
     def test_column_with_nan_for_missing(self):
-        log = IterateLog()
-        log.append(LogRow(k=0, res_clean=1.0, res_noisy=1.0, j_val=0.0))
+        log = IterateLog(k=[0], res_clean=[1.0], res_noisy=[1.0], j_val=[0.0])
         col = log.column("gap")
         assert np.isnan(col[0])
         with pytest.raises(ContractViolation):

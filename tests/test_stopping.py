@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 from iterreg import (
     ContractViolation,
     IterateLog,
-    LogRow,
     RuleInapplicable,
     budget_stop,
     discrepancy_stop,
@@ -14,14 +13,10 @@ from iterreg import (
 
 
 def make_log(res_noisy=None, dist=None):
-    log = IterateLog()
     n = len(res_noisy) if res_noisy is not None else len(dist)
-    for k in range(n):
-        log.append(LogRow(
-            k=k, res_clean=1.0, j_val=0.0,
-            res_noisy=None if res_noisy is None else res_noisy[k],
-            dist_ref=None if dist is None else dist[k]))
-    return log
+    cols = {name: values for name, values in (("res_noisy", res_noisy), ("dist_ref", dist))
+            if values is not None}
+    return IterateLog(k=np.arange(n), res_clean=np.ones(n), j_val=np.zeros(n), **cols)
 
 
 class TestBudget:
