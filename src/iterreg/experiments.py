@@ -17,11 +17,12 @@ import numpy as np
 
 from .baseline import lambda_grid, lasso_path
 from .bias import L1, Nuclear
-from .errors import BoundViolation, ContractViolation
+from .errors import AssumptionViolated, BoundViolation, ContractViolation
 from .linop import DenseOperator, Grad2D, MaskOperator
 from .metrics import BoundInputs, stability_feas_bound, stability_gap_bound, weighted_v
 from .pdsolver import certify, iterate, make_config, run, write_csv
 from .problems import add_noise, gen_matcomp, gen_sparse, load_problem, save_problem, tv_reformulate
+from .stopping import oracle_stop
 from .svgplot import line_chart
 
 __all__ = [
@@ -40,20 +41,30 @@ __all__ = [
 
 @dataclass
 class ExperimentSpec:
-    """Common experiment parameters; problem-specific ones live in ``problem``."""
+    """Common experiment parameters; problem-specific ones live in ``problem``.
+
+    A run parameter left at None, and a key left out of ``problem``, takes the
+    default of the function that reads it. ``eps`` and ``record_every`` fall
+    back to :func:`~iterreg.pdsolver.make_config`'s. ``max_iter=None`` means
+    the experiment's own budget: ``make_config``'s for the noisy runs and
+    :func:`run_solve`, :func:`~iterreg.pdsolver.certify`'s for
+    :func:`run_certify` and the clean certificates, and :func:`run_tvdemo`'s
+    own; a number, 0 included, is the budget itself.
+    """
 
     name: str
     out_dir: Path
     seed: int = 0
-    eps: float = 0.99
-    max_iter: int = 5000
-    record_every: int = 1
+    eps: float | None = None
+    max_iter: int | None = None
+    record_every: int | None = None
     deltas: tuple = ()
     replicates: int = 10
     problem: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.out_dir = Path(self.out_dir)
+        self.deltas = tuple(self.deltas)
         if self.replicates < 1:
             raise ContractViolation(f"replicates must be >= 1, got {self.replicates}")
         if any(d < 0 for d in self.deltas):
@@ -66,16 +77,11 @@ def child_seed(base, *key):
     return int(ss.generate_state(1)[0])
 
 
-def _sparse_problem(seed, problem):
-    params = {"n": 200, "p": 500, "s": 75, "corr": 0.2, "y_norm": 20.0}
-    params.update(problem)
-    return gen_sparse(seed=seed, **params)
-
-
-def _matcomp_problem(seed, problem):
-    params = {"d": 20, "r": 5, "obs_frac_denom": 5, "y_norm": 20.0}
-    params.update(problem)
-    return gen_matcomp(seed=seed, **params)
+def _config(X, spec, **fixed):
+    """``make_config`` of the run parameters the spec sets, with ``fixed`` overriding them."""
+    given = dict(epsilon=spec.eps, max_iter=spec.max_iter, record_every=spec.record_every)
+    given.update(fixed)
+    return make_config(X, **{k: v for k, v in given.items() if v is not None})
 
 
 def _noisy_stack(spec, prob, noise_support=None):
@@ -86,18 +92,17 @@ def _noisy_stack(spec, prob, noise_support=None):
                      for rep in range(spec.replicates)], axis=1)
 
 
-def _clean_certificate(prob, J):
-    """The certificate of the clean problem that the noisy runs are measured against."""
-    return certify(prob.X, J, prob.y, cfg=make_config(prob.X, max_iter=500_000),
-                   check_every=100)
+def _clean_certificate(prob, J, max_iter=None):
+    """The clean problem's certificate, checked every 100 iterations; None: certify's budget."""
+    cfg = None if max_iter is None else make_config(prob.X, max_iter=max_iter)
+    return certify(prob.X, J, prob.y, cfg=cfg, check_every=100)
 
 
 def _distance_curves(spec, prob, J, noise_support=None):
     """Shared semiconvergence machinery: noisy runs against a clean certificate."""
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     cert = _clean_certificate(prob, J)
-    cfg = make_config(prob.X, epsilon=spec.eps, max_iter=spec.max_iter,
-                      record_every=spec.record_every)
+    cfg = _config(prob.X, spec)
     logs = iter(run(prob.X, J, _noisy_stack(spec, prob, noise_support), cfg, reference=cert,
                     columns=("dist_ref", "dist_avg_ref")))
     runs, summary_rows, svg_series, svg_marks = [], [], [], []
@@ -109,10 +114,9 @@ def _distance_curves(spec, prob, J, noise_support=None):
             runs.append((delta, rep, log))
             ks = log.ks()
             dist = log.column("dist_ref")
-            arg = int(np.argmin(dist))
-            k_star, d_star = int(ks[arg]), float(dist[arg])
+            k_star, d_star = oracle_stop(log)
             first, last = float(dist[0]), float(dist[-1])
-            interior = bool(0 < arg < len(dist) - 1
+            interior = bool(ks[0] < k_star < ks[-1]
                             and d_star <= 0.99 * first and d_star <= 0.99 * last)
             margin = min(first, last) / d_star - 1.0 if d_star > 0 else np.inf
             mins.append(d_star)
@@ -150,7 +154,7 @@ def _distance_curves(spec, prob, J, noise_support=None):
 def run_semiconv(spec):
     """Distance-to-reference curves for noisy sparse-recovery runs."""
     spec = replace(spec, deltas=spec.deltas or (0.6, 1.2, 2.4))
-    prob = _sparse_problem(spec.seed, spec.problem)
+    prob = gen_sparse(seed=spec.seed, **spec.problem)
     return _distance_curves(spec, prob, L1())
 
 
@@ -162,7 +166,7 @@ def run_matcomp(spec):
     observed entries only.
     """
     spec = replace(spec, deltas=spec.deltas or (2.0, 4.0, 8.0))
-    prob = _matcomp_problem(spec.seed, spec.problem)
+    prob = gen_matcomp(seed=spec.seed, **spec.problem)
     d = prob.params["d"]
     assert isinstance(prob.X, MaskOperator)
     return _distance_curves(spec, prob, Nuclear(d, d), noise_support=prob.X.gain)
@@ -172,12 +176,17 @@ def run_stoptime(spec):
     """Oracle stopping time versus noise level, with a straight-line fit."""
     spec = replace(spec, deltas=spec.deltas or tuple(np.linspace(0.1, 6.0, 20)))
     spec.out_dir.mkdir(parents=True, exist_ok=True)
-    prob = _sparse_problem(spec.seed, spec.problem)
+    prob = gen_sparse(seed=spec.seed, **spec.problem)
     J = L1()
     cert = _clean_certificate(prob, J)
-    cfg = make_config(prob.X, epsilon=spec.eps, max_iter=spec.max_iter,
-                      record_every=spec.record_every)
+    cfg = _config(prob.X, spec)
     k_stars, d_stars = _oracle_stops(prob.X, J, _noisy_stack(spec, prob), cfg, cert.w_star)
+    if not k_stars.all():
+        di, rep = divmod(int(np.argmin(k_stars)), spec.replicates)
+        raise AssumptionViolated(
+            f"the oracle stop of delta={spec.deltas[di]:g}, replicate {rep} is k* = 0 "
+            f"(no iterate comes closer to the clean solution than the initial one), "
+            f"so 1/k* is undefined")
     raw_rows, sum_rows = [], []
     mean_inv = []
     mean_k = []
@@ -242,23 +251,24 @@ def _oracle_stops(X, J, Y, cfg, w_star):
     return best_k, best_d
 
 
-def run_bounds(spec, eps_list=(0.25, 0.5, 0.9)):
+def run_bounds(spec, eps_list=None):
     """Measured averaged-iterate gap and residual against their upper bounds.
 
+    Sweeps the step-size products ``eps_list`` (None: 0.25, 0.5 and 0.9).
     Writes one CSV per (epsilon, delta, replicate) and raises BoundViolation
     if any measurement exceeds its bound by more than 1e-8 relative.
     """
     spec = replace(spec, deltas=spec.deltas or (0.0,))
+    eps_list = (0.25, 0.5, 0.9) if eps_list is None else eps_list
     spec.out_dir.mkdir(parents=True, exist_ok=True)
-    prob = _sparse_problem(spec.seed, spec.problem)
+    prob = gen_sparse(seed=spec.seed, **spec.problem)
     J = L1()
     cert = _clean_certificate(prob, J)
     Y = _noisy_stack(spec, prob)
     violations = 0
     worst_gap_ratio = worst_feas_ratio = -np.inf
     for eps in eps_list:
-        cfg = make_config(prob.X, epsilon=eps, max_iter=spec.max_iter,
-                          record_every=spec.record_every)
+        cfg = _config(prob.X, spec, epsilon=eps)
         v0 = weighted_v(-cert.w_star, -cert.theta_star, cfg.tau, cfg.sigma)
         logs = iter(run(prob.X, J, Y, cfg, reference=cert,
                         columns=("gap_avg", "res_avg_clean")))
@@ -304,17 +314,17 @@ def run_pathcmp(spec):
     the held-out rows, then averaged across folds.
     """
     spec.out_dir.mkdir(parents=True, exist_ok=True)
-    params = {"n": 400, "p": 800, "s": 120, "corr": 0.2, "y_norm": 20.0,
-              "delta": 4.0, "folds": 4, "grid_count": 100, "grid_span": 3.0,
+    params = {"delta": 4.0, "folds": 4, "grid_count": 100, "grid_span": 3.0,
               "lasso_tol": 1e-4, "lasso_max_iter": 3000, "cp_iters": 1000}
-    params.update(spec.problem)
-    prob = gen_sparse(n=params["n"], p=params["p"], s=params["s"], corr=params["corr"],
-                      y_norm=params["y_norm"], seed=spec.seed)
+    sizes = {"n": 400, "p": 800, "s": 120}
+    for key, value in spec.problem.items():
+        (params if key in params else sizes)[key] = value
+    prob = gen_sparse(seed=spec.seed, **sizes)
     noisy = add_noise(prob, params["delta"], child_seed(spec.seed, 17))
     y_obs = noisy.y_delta
     Xm = prob.X.matrix
     rng = np.random.default_rng(child_seed(spec.seed, 23))
-    perm = rng.permutation(params["n"])
+    perm = rng.permutation(Xm.shape[0])
     folds = np.array_split(perm, params["folds"])
     J = L1()
 
@@ -335,7 +345,7 @@ def run_pathcmp(spec):
         lasso_iters += np.asarray(path.inner_iters, dtype=float)
         path.write_csv(spec.out_dir / f"pathcmp_lasso_fold{f}.csv")
 
-        cfg = make_config(X_tr, epsilon=spec.eps, max_iter=params["cp_iters"])
+        cfg = _config(X_tr, spec, max_iter=params["cp_iters"])
         for state in iterate(X_tr, J, y_tr, cfg):
             cp_mse[f, state.k] = float(np.mean((X_te @ state.w - y_te) ** 2))
     lasso_iters /= params["folds"]
@@ -383,7 +393,7 @@ def run_pathcmp(spec):
 def run_tvdemo(spec):
     """Total-variation inpainting of a piecewise-constant image via the lifted form."""
     spec.out_dir.mkdir(parents=True, exist_ok=True)
-    params = {"p1": 8, "p2": 8, "obs_frac": 0.6, "feas_tol": 1e-8, "subgrad_tol": 1e-6}
+    params = {"p1": 8, "p2": 8, "obs_frac": 0.6, "feas_tol": 1e-8}
     params.update(spec.problem)
     p1, p2 = params["p1"], params["p2"]
     image = np.zeros((p1, p2))
@@ -395,10 +405,10 @@ def run_tvdemo(spec):
     mask = MaskOperator((p1, p2), [(int(f) // p2, int(f) % p2) for f in flat])
     y = mask.apply(image.ravel())
     lifted, bias, y_lifted = tv_reformulate(mask, y, p1, p2)
-    cert = certify(lifted, bias, y_lifted,
-                   cfg=make_config(lifted, max_iter=spec.max_iter or 200_000),
+    budget = 100_000 if spec.max_iter is None else spec.max_iter
+    cert = certify(lifted, bias, y_lifted, cfg=make_config(lifted, max_iter=budget),
                    feas_tol=params["feas_tol"] * max(1.0, float(np.linalg.norm(y_lifted))),
-                   subgrad_tol=params["subgrad_tol"], check_every=200)
+                   check_every=200)
     w_img = cert.w_star[: p1 * p2]
     u_grad = cert.w_star[p1 * p2:]
     grad_res = float(np.linalg.norm(Grad2D(p1, p2).apply(w_img) - u_grad))
@@ -420,9 +430,7 @@ def run_solve(spec):
     if spec.deltas:
         prob = add_noise(prob, spec.deltas[0], child_seed(spec.seed, 41),
                          support=prob.X.gain if isinstance(prob.X, MaskOperator) else None)
-    cfg = make_config(prob.X, epsilon=spec.eps, max_iter=spec.max_iter,
-                      record_every=spec.record_every)
-    log = run(prob.X, J, prob.y_delta, cfg)
+    log = run(prob.X, J, prob.y_delta, _config(prob.X, spec))
     log.write_csv(spec.out_dir / "log.csv")
     save_problem(prob, spec.out_dir / "problem")
     return {"final_res_noisy": float(log.column("res_noisy")[-1]),
@@ -433,8 +441,7 @@ def run_certify(spec):
     """Certify the clean problem; write the pair, its residuals, k and whether it was polished."""
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     prob, J = _problem_for_cli(spec)
-    cert = certify(prob.X, J, prob.y, cfg=make_config(prob.X, max_iter=spec.max_iter or 500_000),
-                   check_every=100)
+    cert = _clean_certificate(prob, J, spec.max_iter)
     np.savetxt(spec.out_dir / "cert_w.csv", cert.w_star, delimiter=",")
     np.savetxt(spec.out_dir / "cert_theta.csv", cert.theta_star, delimiter=",")
     meta = {"feas_res": cert.feas_res, "subgrad_res": cert.subgrad_res,
@@ -446,18 +453,24 @@ def run_certify(spec):
 def _problem_for_cli(spec):
     """The loaded or generated problem named by ``spec.problem``, and its bias.
 
-    ``spec.problem`` holds ``kind`` (sparse or matcomp) and either ``load``, a
-    problem directory, or the generator parameters of that kind.
+    ``spec.problem`` holds ``kind`` (sparse, the default, or matcomp) and
+    either ``load``, a problem directory, or generator parameters of that
+    kind. A parameter the named source does not take is a ContractViolation.
     """
     params = dict(spec.problem)
     kind = params.pop("kind", "sparse")
     if "load" in params:
-        prob = load_problem(params["load"])
+        prob = load_problem(params.pop("load"))
         kind = prob.kind
-    elif kind == "sparse":
-        prob = _sparse_problem(spec.seed, params)
-    elif kind == "matcomp":
-        prob = _matcomp_problem(spec.seed, params)
+        if params:
+            raise ContractViolation(
+                f"a loaded problem takes no generator parameters, got {sorted(params)}")
+    elif kind in ("sparse", "matcomp"):
+        gen = gen_sparse if kind == "sparse" else gen_matcomp
+        try:
+            prob = gen(seed=spec.seed, **params)
+        except TypeError as exc:
+            raise ContractViolation(f"{kind} problem: {exc}") from None
     else:
         raise ContractViolation(f"unknown problem kind {kind!r}")
     if kind == "matcomp":

@@ -368,11 +368,12 @@ def certify(X, J, y, cfg=None, feas_tol=None, subgrad_tol=1e-6, check_every=50):
     subgrad_tol = 1e-6. Raises :class:`CertificationFailure` with the best
     residuals of the iterates, the iterations that reached them and the
     residuals of every check if the tolerances are not reached within
-    ``cfg.max_iter``.
+    ``cfg.max_iter``. The default ``cfg`` is ``make_config(X)`` with a budget
+    of 500 000 iterations.
     """
     y = as_vector(y, X.out_dim, "y")
     if cfg is None:
-        cfg = make_config(X, max_iter=200_000)
+        cfg = make_config(X, max_iter=500_000)
     if feas_tol is None:
         feas_tol = 1e-9 * max(1.0, float(np.linalg.norm(y)))
     # every check's residuals, in compact arrays: a certification can make thousands

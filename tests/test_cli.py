@@ -1,10 +1,13 @@
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from iterreg import cli, gen_matcomp
 from iterreg.errors import AssumptionViolated, BoundViolation, CertificationFailure
+from iterreg.experiments import ExperimentSpec
 from iterreg.pdsolver import CSV_VERSION
 
 
@@ -66,6 +69,74 @@ def test_certify_budget_reaches_the_seed_3_sparse_instance(tmp_path, capsys):
     rc, out = run_cli(capsys, "certify", "--seed", "3", "--out", str(tmp_path / "c"))
     assert rc == 0
     assert json.loads(out)["k"] == 7100
+
+
+@pytest.mark.parametrize("cmd", ["certify", "tv-demo"])
+def test_max_iter_zero_means_no_iterations(tmp_path, capsys, cmd):
+    flags = ("--p1", "4", "--p2", "4") if cmd == "tv-demo" else ()
+    rc = cli.main([cmd, *flags, "--max-iter", "0", "--out", str(tmp_path / "c")])
+    assert rc == 1
+    assert "within 0 iterations" in capsys.readouterr().err
+
+
+RUNNERS = {"solve": "run_solve", "certify": "run_certify", "semiconv": "run_semiconv",
+           "stoptime": "run_stoptime", "bounds": "run_bounds", "pathcmp": "run_pathcmp",
+           "matcomp": "run_matcomp", "tv-demo": "run_tvdemo"}
+
+
+@pytest.mark.parametrize("cmd", RUNNERS)
+def test_spec_carries_only_the_given_flags(tmp_path, monkeypatch, cmd):
+    seen = {}
+
+    def runner(spec, **kwargs):
+        seen.update(spec=spec, kwargs=kwargs)
+        return {}
+
+    monkeypatch.setattr(cli, RUNNERS[cmd], runner)
+    rc = cli.main([cmd, "--out", str(tmp_path / "x")])
+    assert rc == 0
+    spec = seen["spec"]
+    assert spec.problem == {} and spec.max_iter is None and spec.deltas == ()
+    unset = ExperimentSpec(name=spec.name, out_dir=tmp_path / "x")
+    assert dataclasses.asdict(spec) == dataclasses.asdict(unset)
+    assert seen["kwargs"] == ({"eps_list": None} if cmd == "bounds" else {})
+
+
+def test_default_out_dir_is_named_after_the_experiment(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "run_tvdemo", lambda spec: seen.append(spec) or {})
+    assert cli.main(["tv-demo"]) == 0
+    assert seen[0].name == "tvdemo" and seen[0].out_dir == Path("out/tvdemo")
+
+
+def test_generator_flag_of_the_other_kind_is_an_error(tmp_path, capsys):
+    rc = cli.main(["solve", "--problem", "matcomp", "--n", "10", "--out", str(tmp_path / "s")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "'n'" in err
+    assert not (tmp_path / "s" / "log.csv").exists()
+
+
+def test_loaded_problem_takes_no_generator_flags(tmp_path, capsys):
+    rc, _ = run_cli(capsys, "solve", "--n", "10", "--p", "20", "--s", "2", "--max-iter", "5",
+                    "--out", str(tmp_path / "a"))
+    assert rc == 0
+    rc = cli.main(["certify", "--load", str(tmp_path / "a" / "problem"), "--n", "10",
+                   "--out", str(tmp_path / "c")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_stoptime_with_an_oracle_stop_at_zero_is_an_assumption_violation(tmp_path, capsys):
+    # noise far above ||y|| = 6: the best iterate of every replicate is the initial one
+    rc = cli.main(["stoptime", "--n", "30", "--p", "60", "--s", "5", "--y-norm", "6",
+                   "--delta", "60", "--delta", "120", "--replicates", "1", "--max-iter", "50",
+                   "--out", str(tmp_path / "st")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("assumption violated: ") and err.count("\n") == 1
+    assert "delta=60" in err and "replicate 0" in err
 
 
 def test_semiconv_command(tmp_path, capsys):

@@ -223,6 +223,12 @@ def test_certify_outputs(tmp_path):
     assert w.shape == (25,)
 
 
+def test_certify_default_budget_reaches_the_seed_3_sparse_instance(tmp_path):
+    # the seed-3 instance first polishes at k = 7100, beyond the noisy runs' budget
+    meta = run_certify(ExperimentSpec(name="c", out_dir=tmp_path / "c", seed=3))
+    assert meta["k"] == 7100
+
+
 def test_matcomp_tiny_runs(tmp_path):
     spec = spec_for(tmp_path, "matcomp", deltas=(1.5,), replicates=1, max_iter=400,
                     problem={"d": 6, "r": 2, "obs_frac_denom": 3, "y_norm": 6.0})
