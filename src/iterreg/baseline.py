@@ -13,6 +13,7 @@ import numpy as np
 
 from .bias import L1
 from .errors import ContractViolation
+from .linop import norms
 from .pdsolver import write_csv
 
 __all__ = ["lambda_grid", "solve_tikhonov", "TikhonovSolution", "lasso_path", "PathResult"]
@@ -53,7 +54,7 @@ def solve_tikhonov(X, J, y, lam, w_init=None, tol=1e-8, max_iter=20000):
     for it in range(1, max_iter + 1):
         grad = X.adjoint(X.apply(w) - y)
         w_new = J.prox(lam * step / 2.0, w - step * grad)
-        if np.linalg.norm(w_new - w) <= tol * (1.0 + np.linalg.norm(w)):
+        if norms(w_new - w) <= tol * (1.0 + norms(w)):
             return TikhonovSolution(w=w_new, iters=it, converged=True)
         w = w_new
     return TikhonovSolution(w=w, iters=max_iter, converged=False)

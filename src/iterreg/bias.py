@@ -16,20 +16,21 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractViolation
+from .linop import norms
 
 __all__ = ["Bias", "L1", "SqL2", "Nuclear", "Zero", "BlockBias", "soft_threshold",
            "subgradient_residual"]
 
 
 def soft_threshold(v, t):
-    """Componentwise shrinkage; entries with |v_i| <= t map to 0."""
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+    """Componentwise shrinkage sign(v) * max(|v| - t, 0); for t > 0, |v_i| <= t maps to +0.0."""
+    return v - np.minimum(np.maximum(v, -t), t)
 
 
 def subgradient_residual(J, w, g):
     """||prox_{1 J}(w + g) - w||, which is zero exactly when g is in dJ(w)."""
     w = np.asarray(w, dtype=float)
-    return float(np.linalg.norm(J.prox(1.0, w + np.asarray(g, dtype=float)) - w))
+    return norms(J.prox(1.0, w + np.asarray(g, dtype=float)) - w)
 
 
 def _per_column(total):
@@ -71,10 +72,7 @@ class L1(Bias):
 
     def prox(self, tau, v):
         _check_tau(tau)
-        v = np.asarray(v, dtype=float)
-        if tau == 0:
-            return v.copy()
-        return soft_threshold(v, tau)
+        return soft_threshold(np.asarray(v, dtype=float), tau)
 
     def polish(self, X, y, w, theta):
         """The exact pair on the support S and signs s of ``w``, or None.

@@ -9,6 +9,7 @@ batched iteration.
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -18,7 +19,7 @@ import numpy as np
 from .baseline import lambda_grid, lasso_path
 from .bias import L1, Nuclear
 from .errors import AssumptionViolated, BoundViolation, ContractViolation
-from .linop import DenseOperator, Grad2D, MaskOperator
+from .linop import DenseOperator, Grad2D, MaskOperator, norms
 from .metrics import BoundInputs, stability_feas_bound, stability_gap_bound, weighted_v
 from .pdsolver import certify, iterate, make_config, run, write_csv
 from .problems import add_noise, gen_matcomp, gen_sparse, load_problem, save_problem, tv_reformulate
@@ -75,6 +76,24 @@ def child_seed(base, *key):
     """Stable derived seed for replicate streams (SeedSequence spawn keys)."""
     ss = np.random.SeedSequence(entropy=int(base), spawn_key=tuple(int(k) for k in key))
     return int(ss.generate_state(1)[0])
+
+
+# The keys of ``spec.problem`` each generator takes: its parameters but the seed.
+_SPARSE, _MATCOMP = (frozenset(inspect.signature(gen).parameters) - {"seed"}
+                     for gen in (gen_sparse, gen_matcomp))
+
+
+def _check_keys(given, known, what):
+    """Raise a ContractViolation naming every key of ``given`` that ``what`` does not take."""
+    unknown = sorted(set(given) - set(known))
+    if unknown:
+        raise ContractViolation(f"{what} takes no parameters {unknown}")
+
+
+def _sparse(spec):
+    """The sparse problem of ``spec.seed`` and ``spec.problem``, which holds gen_sparse keys."""
+    _check_keys(spec.problem, _SPARSE, "a sparse problem")
+    return gen_sparse(seed=spec.seed, **spec.problem)
 
 
 def _config(X, spec, **fixed):
@@ -154,7 +173,7 @@ def _distance_curves(spec, prob, J, noise_support=None):
 def run_semiconv(spec):
     """Distance-to-reference curves for noisy sparse-recovery runs."""
     spec = replace(spec, deltas=spec.deltas or (0.6, 1.2, 2.4))
-    prob = gen_sparse(seed=spec.seed, **spec.problem)
+    prob = _sparse(spec)
     return _distance_curves(spec, prob, L1())
 
 
@@ -166,6 +185,7 @@ def run_matcomp(spec):
     observed entries only.
     """
     spec = replace(spec, deltas=spec.deltas or (2.0, 4.0, 8.0))
+    _check_keys(spec.problem, _MATCOMP, "a matcomp problem")
     prob = gen_matcomp(seed=spec.seed, **spec.problem)
     d = prob.params["d"]
     assert isinstance(prob.X, MaskOperator)
@@ -175,8 +195,8 @@ def run_matcomp(spec):
 def run_stoptime(spec):
     """Oracle stopping time versus noise level, with a straight-line fit."""
     spec = replace(spec, deltas=spec.deltas or tuple(np.linspace(0.1, 6.0, 20)))
+    prob = _sparse(spec)
     spec.out_dir.mkdir(parents=True, exist_ok=True)
-    prob = gen_sparse(seed=spec.seed, **spec.problem)
     J = L1()
     cert = _clean_certificate(prob, J)
     cfg = _config(prob.X, spec)
@@ -244,7 +264,7 @@ def _oracle_stops(X, J, Y, cfg, w_star):
     for state in iterate(X, J, Y, cfg):
         if state.k % cfg.record_every and state.k != cfg.max_iter:
             continue
-        d = np.linalg.norm(state.w - w_star, axis=0)
+        d = norms(state.w - w_star)
         better = d < best_d
         best_k[better] = state.k
         best_d[better] = d[better]
@@ -260,8 +280,8 @@ def run_bounds(spec, eps_list=None):
     """
     spec = replace(spec, deltas=spec.deltas or (0.0,))
     eps_list = (0.25, 0.5, 0.9) if eps_list is None else eps_list
+    prob = _sparse(spec)
     spec.out_dir.mkdir(parents=True, exist_ok=True)
-    prob = gen_sparse(seed=spec.seed, **spec.problem)
     J = L1()
     cert = _clean_certificate(prob, J)
     Y = _noisy_stack(spec, prob)
@@ -313,10 +333,11 @@ def run_pathcmp(spec):
     explicit-penalty path (warm-started) and the iteration path are scored on
     the held-out rows, then averaged across folds.
     """
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
     params = {"delta": 4.0, "folds": 4, "grid_count": 100, "grid_span": 3.0,
               "lasso_tol": 1e-4, "lasso_max_iter": 3000, "cp_iters": 1000}
     sizes = {"n": 400, "p": 800, "s": 120}
+    _check_keys(spec.problem, params.keys() | _SPARSE, "pathcmp")
+    spec.out_dir.mkdir(parents=True, exist_ok=True)
     for key, value in spec.problem.items():
         (params if key in params else sizes)[key] = value
     prob = gen_sparse(seed=spec.seed, **sizes)
@@ -392,9 +413,10 @@ def run_pathcmp(spec):
 
 def run_tvdemo(spec):
     """Total-variation inpainting of a piecewise-constant image via the lifted form."""
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
     params = {"p1": 8, "p2": 8, "obs_frac": 0.6, "feas_tol": 1e-8}
+    _check_keys(spec.problem, params, "tv-demo")
     params.update(spec.problem)
+    spec.out_dir.mkdir(parents=True, exist_ok=True)
     p1, p2 = params["p1"], params["p2"]
     image = np.zeros((p1, p2))
     image[: p1 // 2, : p2 // 2] = 1.0
@@ -460,17 +482,12 @@ def _problem_for_cli(spec):
     params = dict(spec.problem)
     kind = params.pop("kind", "sparse")
     if "load" in params:
+        _check_keys(params, ("load",), "a loaded problem")
         prob = load_problem(params.pop("load"))
         kind = prob.kind
-        if params:
-            raise ContractViolation(
-                f"a loaded problem takes no generator parameters, got {sorted(params)}")
     elif kind in ("sparse", "matcomp"):
-        gen = gen_sparse if kind == "sparse" else gen_matcomp
-        try:
-            prob = gen(seed=spec.seed, **params)
-        except TypeError as exc:
-            raise ContractViolation(f"{kind} problem: {exc}") from None
+        _check_keys(params, _SPARSE if kind == "sparse" else _MATCOMP, f"a {kind} problem")
+        prob = (gen_sparse if kind == "sparse" else gen_matcomp)(seed=spec.seed, **params)
     else:
         raise ContractViolation(f"unknown problem kind {kind!r}")
     if kind == "matcomp":

@@ -10,6 +10,8 @@ operators also map a stack of B such vectors, held as the columns of a
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ContractViolation
@@ -37,6 +39,11 @@ def as_vector(x, dim, what="vector", columns=False):
         raise ContractViolation(
             f"{what}: expected one vector of length {dim}{form}, got shape {v.shape}")
     return v
+
+
+def norms(a):
+    """Euclidean norm of a vector (a float) or of each column of a stack, as np.linalg.norm."""
+    return math.sqrt(a @ a) if a.ndim == 1 else np.sqrt(np.add.reduce(a * a, axis=0))
 
 
 class LinearOperator:
@@ -276,17 +283,16 @@ def op_norm(op, tol=1e-6, max_iter=1000, seed=0):
     """
     if tol <= 0:
         raise ContractViolation(f"op_norm tol must be positive, got {tol}")
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(op.in_dim)
-    v /= np.linalg.norm(v)
+    v = np.random.default_rng(seed).standard_normal(op.in_dim)
+    v /= norms(v)
     est = 0.0
     for _ in range(int(max_iter)):
         xv = op._apply(v)
-        new_est = float(np.linalg.norm(xv))
+        new_est = norms(xv)
         if new_est == 0.0:
             return 0.0
         v = op._adjoint(xv)
-        nv = np.linalg.norm(v)
+        nv = norms(v)
         if nv == 0.0:
             return new_est
         v /= nv

@@ -32,7 +32,7 @@ import numpy as np
 
 from .bias import subgradient_residual
 from .errors import CertificationFailure, ContractViolation, NumericalFailure
-from .linop import as_vector
+from .linop import as_vector, norms
 from .metrics import raw_gap
 
 __all__ = [
@@ -133,7 +133,7 @@ def step(state, X, J, y_obs, cfg):
     w_new = J.prox(cfg.tau, state.w - cfg.tau * X.adjoint(2.0 * state.theta - state.theta_prev))
     xw_new = X.apply(w_new)
     theta_new = state.theta + cfg.sigma * (xw_new - y_obs)
-    if not (np.all(np.isfinite(w_new)) and np.all(np.isfinite(theta_new))):
+    if not (np.isfinite(w_new).all() and np.isfinite(theta_new).all()):
         raise _non_finite(w_new, theta_new, state.k + 1)
     return PdState(w=w_new, theta=theta_new, theta_prev=state.theta, k=state.k + 1, xw=xw_new)
 
@@ -246,11 +246,6 @@ class IterateLog:
         return len(self._k)
 
 
-def _norms(a):
-    """Euclidean norm of a vector (a float), or of each column of a stack."""
-    return float(np.linalg.norm(a)) if a.ndim == 1 else np.linalg.norm(a, axis=0)
-
-
 class _Recorder:
     """Fills the asked-for log columns at the recorded iterations, all columns of a stack at once.
 
@@ -302,14 +297,14 @@ class _Recorder:
                for name, total in self.sums.items()}
         jw = self.J(w) if self.needs_jw else None
         formulas = {
-            "res_clean": lambda: _norms(xw - self.y_clean),
-            "res_noisy": lambda: _norms(xw - self.y_obs),
+            "res_clean": lambda: norms(xw - self.y_clean),
+            "res_noisy": lambda: norms(xw - self.y_obs),
             "j_val": lambda: jw,
-            "dist_ref": lambda: _norms(w - self.w_star),
+            "dist_ref": lambda: norms(w - self.w_star),
             "gap": lambda: self._gap(jw, xw, theta),
             "bregman": lambda: self._gap(jw, xw, self.theta_star),
-            "res_avg_clean": lambda: _norms(avg["xw"] - self.y_clean),
-            "dist_avg_ref": lambda: _norms(avg["w"] - self.w_star),
+            "res_avg_clean": lambda: norms(avg["xw"] - self.y_clean),
+            "dist_avg_ref": lambda: norms(avg["w"] - self.w_star),
             "gap_avg": lambda: self._gap(self.J(avg["w"]), avg["xw"], avg["theta"]),
         }
         for name, out in self.values.items():
@@ -380,7 +375,7 @@ def certify(X, J, y, cfg=None, feas_tol=None, subgrad_tol=1e-6, check_every=50):
     checked, feas_hist, sub_hist = array("q"), array("d"), array("d")
 
     def residuals(w, xw, theta):
-        return float(np.linalg.norm(xw - y)), subgradient_residual(J, w, -X.adjoint(theta))
+        return norms(xw - y), subgradient_residual(J, w, -X.adjoint(theta))
 
     def passes(feas, sub):
         return feas <= feas_tol and sub <= subgrad_tol

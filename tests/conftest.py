@@ -47,6 +47,31 @@ def bp_oracle(Xm, y, feas_tol=1e-9):
     return best, best_obj
 
 
+def power_norm(op, tol=1e-6, max_iter=1000, seed=0):
+    """Spectral-norm estimate by power iteration on X^T X, written with np.linalg.norm.
+
+    The reference for ``op_norm``: the same iteration with the same defaults,
+    so the two must agree to the last bit.
+    """
+    v = np.random.default_rng(seed).standard_normal(op.in_dim)
+    v /= np.linalg.norm(v)
+    est = 0.0
+    for _ in range(max_iter):
+        xv = op.apply(v)
+        new_est = float(np.linalg.norm(xv))
+        if new_est == 0.0:
+            return 0.0
+        v = op.adjoint(xv)
+        nv = np.linalg.norm(v)
+        if nv == 0.0:
+            return new_est
+        v /= nv
+        if abs(new_est - est) <= tol * new_est:
+            return new_est
+        est = new_est
+    return est
+
+
 @pytest.fixture(scope="session")
 def tiny_bp():
     """The 2x3 interpolation problem whose minimal-l1 solution is (0, 0, 1)."""

@@ -155,8 +155,18 @@ def test_svt_preserves_singular_subspaces():
 
 
 def test_soft_threshold_values():
-    out = soft_threshold(np.array([3.0, -0.2, 1.0]), 1.0)
-    assert np.allclose(out, [2.0, 0.0, 0.0])
+    """Exactly sign(v) * max(|v| - t, 0), NaN where it is NaN; for t > 0 zeros are +0.0."""
+    assert np.array_equal(soft_threshold(np.array([3.0, -0.2, 1.0]), 1.0), [2.0, 0.0, 0.0])
+    for t in (0.0, 0.75, 1.0, np.inf):
+        v = np.array([3.0, -0.2, t, -t, 0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300, -2.5,
+                      np.nextafter(t, np.inf), np.nextafter(-t, -np.inf)])
+        for arr in (v, np.stack([v, -v[::-1], 2.0 * v], axis=1)):
+            with np.errstate(invalid="ignore"):  # inf - inf at t = inf, in both formulas
+                out = soft_threshold(arr, t)
+                want = np.sign(arr) * np.maximum(np.abs(arr) - t, 0.0)
+            assert np.array_equal(out, want, equal_nan=True), t
+            if t > 0:
+                assert not np.signbit(out[out == 0.0]).any(), t
 
 
 class TestBlockBias:

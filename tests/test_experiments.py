@@ -64,6 +64,23 @@ def test_default_deltas_leave_spec_unchanged(tmp_path, runner, problem):
     assert spec.deltas == ()
 
 
+@pytest.mark.parametrize("runner, problem, unknown", [
+    (run_semiconv, {"d": 5, "seed": 1}, ["d", "seed"]),
+    (run_stoptime, {"d": 5, "n": 30}, ["d"]),
+    (run_bounds, {"rank": 2}, ["rank"]),
+    (run_matcomp, {"n": 5, "d": 6}, ["n"]),
+    (run_pathcmp, {"d": 5, "n": 30, "cp_iter": 10, "cp_iters": 5}, ["cp_iter", "d"]),
+    (run_tvdemo, {"p_1": 4, "p2": 4, "subgrad_tol": 1e-12}, ["p_1", "subgrad_tol"]),
+])
+def test_unknown_problem_keys_are_named_before_anything_runs(tmp_path, runner, problem,
+                                                             unknown):
+    spec = spec_for(tmp_path, runner.__name__, problem=problem)
+    with pytest.raises(ContractViolation, match="takes no parameters") as exc:
+        runner(spec)
+    assert str(exc.value).endswith(f" {unknown}")
+    assert not spec.out_dir.exists()
+
+
 def test_semiconv_outputs_and_summary(tmp_path):
     spec = spec_for(tmp_path, "semiconv", deltas=(0.4, 0.8), problem=TINY_SPARSE)
     summary = run_semiconv(spec)

@@ -13,6 +13,8 @@ from iterreg import (
     stack,
 )
 
+from conftest import power_norm
+
 
 def random_operators(rng):
     dense = DenseOperator(rng.standard_normal((5, 9)))
@@ -121,6 +123,14 @@ class TestOpNorm:
     def test_bad_tol(self):
         with pytest.raises(ContractViolation):
             op_norm(identity(2), tol=0.0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_the_np_linalg_norm_iteration(self, seed):
+        """Every step size hangs on this value, so it must not move by a bit."""
+        rng = np.random.default_rng(seed)
+        for op in random_operators(rng) + [DenseOperator(rng.standard_normal((40, 90)))]:
+            assert op_norm(op) == power_norm(op), op
+            assert op_norm(op, tol=1e-10, seed=seed) == power_norm(op, tol=1e-10, seed=seed), op
 
 
 def test_grad2d_constant_image_is_zero():

@@ -31,7 +31,7 @@ from iterreg import (
 from iterreg.metrics import BoundInputs, stability_feas_bound, stability_gap_bound, weighted_v
 from iterreg.pdsolver import LOG_COLUMNS, write_csv
 
-from conftest import bp_oracle
+from conftest import bp_oracle, power_norm
 
 
 class TestConfig:
@@ -161,6 +161,50 @@ class TestIterate:
         cfg = SolverConfig(epsilon=0.5, tau=1.0, sigma=1.0, max_iter=3)
         with pytest.raises(ContractViolation):
             next(iterate(X, L1(), np.zeros(2), cfg))
+
+    @pytest.mark.parametrize("kind", ["dense-l1", "mask-nuclear"])
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_matches_the_plain_numpy_update(self, kind, batch):
+        """Fifty states equal, bit for bit, the update written out in plain numpy.
+
+        The transcription keeps the sign * max shrink and np.linalg.norm, so
+        the faster shrink and norms of the library must not move an iterate.
+        """
+        if kind == "dense-l1":
+            prob = gen_sparse(n=20, p=40, s=4, seed=1)
+            A = prob.X.matrix
+            X, J = prob.X, L1()
+            fwd, adj = (lambda w: A @ w), (lambda th: A.T @ th)
+
+            def prox(t, v):
+                return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+        else:
+            prob = gen_matcomp(d=6, r=2, obs_frac_denom=2, y_norm=6.0, seed=2)
+            X, J = prob.X, Nuclear(6, 6)
+            gain = X.gain if batch is None else X.gain[:, None]
+            fwd = adj = lambda v: gain * v
+
+            def prox(t, v):
+                M = v.T.reshape(v.shape[1:] + (6, 6))
+                U, s, Vt = np.linalg.svd(M, full_matrices=False)
+                return ((U * np.maximum(s - t, 0.0)[..., None, :]) @ Vt).reshape(
+                    M.shape[:-2] + (-1,)).T
+        y = prob.y
+        if batch is not None:
+            y = y[:, None] + 0.5 * np.random.default_rng(9).standard_normal((y.size, batch))
+        cfg = make_config(X, max_iter=50)
+        tau = sigma = float(np.sqrt(0.99) / (1.01 * power_norm(X)))
+        assert (cfg.tau, cfg.sigma) == (tau, sigma)
+        w, theta = np.zeros((X.in_dim, *y.shape[1:])), np.zeros(y.shape)
+        theta_prev = theta
+        for st in iterate(X, J, y, cfg):
+            if st.k:
+                w = prox(tau, w - tau * adj(2.0 * theta - theta_prev))
+                theta, theta_prev = theta + sigma * (fwd(w) - y), theta
+                assert np.array_equal(st.xw, fwd(w))
+            for got, want in ((st.w, w), (st.theta, theta), (st.theta_prev, theta_prev)):
+                assert got.shape == want.shape and np.array_equal(got, want), st.k
+        assert st.k == 50
 
 
 class TestRun:
