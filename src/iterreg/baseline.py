@@ -40,7 +40,7 @@ class TikhonovSolution:
 def solve_tikhonov(X, J, y, lam, w_init=None, tol=1e-8, max_iter=20000):
     """Proximal-gradient solve of lam*J(w) + ||y - X w||^2.
 
-    Step size 1/||X||^2 (with the usual 1.01 norm safety), prox scale
+    Step size 1/nu^2 for the safe norm bound nu = ``X.norm_est()``, prox scale
     lam*step/2 to match the unhalved data term. Stops when the update is
     below tol*(1 + ||w||); if the budget runs out the last iterate is
     returned flagged as non-converged.
@@ -48,7 +48,7 @@ def solve_tikhonov(X, J, y, lam, w_init=None, tol=1e-8, max_iter=20000):
     if lam <= 0:
         raise ContractViolation(f"penalty must be positive, got {lam}")
     y = np.asarray(y, dtype=float)
-    nu = 1.01 * X.norm_est()
+    nu = X.norm_est()
     step = 1.0 / (nu * nu)
     w = np.zeros(X.in_dim) if w_init is None else np.asarray(w_init, dtype=float).copy()
     for it in range(1, max_iter + 1):

@@ -78,9 +78,9 @@ def child_seed(base, *key):
     return int(ss.generate_state(1)[0])
 
 
-# The keys of ``spec.problem`` each generator takes: its parameters but the seed.
-_SPARSE, _MATCOMP = (frozenset(inspect.signature(gen).parameters) - {"seed"}
-                     for gen in (gen_sparse, gen_matcomp))
+# The keys of ``spec.problem`` each problem kind takes: its generator's parameters but the seed.
+_KEYS = {kind: frozenset(inspect.signature(gen).parameters) - {"seed"}
+         for kind, gen in (("sparse", gen_sparse), ("matcomp", gen_matcomp))}
 
 
 def _check_keys(given, known, what):
@@ -90,10 +90,27 @@ def _check_keys(given, known, what):
         raise ContractViolation(f"{what} takes no parameters {unknown}")
 
 
-def _sparse(spec):
-    """The sparse problem of ``spec.seed`` and ``spec.problem``, which holds gen_sparse keys."""
-    _check_keys(spec.problem, _SPARSE, "a sparse problem")
-    return gen_sparse(seed=spec.seed, **spec.problem)
+def _problem(kind, seed, params, load=None):
+    """A problem of ``kind`` and its bias: l1 for sparse, the nuclear norm for matcomp.
+
+    The problem is read from the directory ``load``, whose own kind then
+    counts, or made by ``gen_sparse`` or ``gen_matcomp`` from ``seed`` and
+    ``params``, that generator's parameters but the seed. Keys of ``params``
+    the source does not take are one ContractViolation naming them all.
+    """
+    if load is not None:
+        _check_keys(params, (), "a loaded problem")
+        prob = load_problem(load)
+    elif kind in _KEYS:
+        _check_keys(params, _KEYS[kind], f"a {kind} problem")
+        # the generator's name is looked up at each call, so a replacement of it takes effect
+        prob = (gen_sparse if kind == "sparse" else gen_matcomp)(seed=seed, **params)
+    else:
+        raise ContractViolation(f"unknown problem kind {kind!r}")
+    if prob.kind == "matcomp":
+        d = prob.params["d"]
+        return prob, Nuclear(d, d)
+    return prob, L1()
 
 
 def _config(X, spec, **fixed):
@@ -103,10 +120,9 @@ def _config(X, spec, **fixed):
     return make_config(X, **{k: v for k, v in given.items() if v is not None})
 
 
-def _noisy_stack(spec, prob, noise_support=None):
+def _noisy_stack(spec, prob):
     """The noisy data of every (delta, replicate) pair as the columns of one array."""
-    return np.stack([add_noise(prob, delta, child_seed(spec.seed, di, rep),
-                               support=noise_support).y_delta
+    return np.stack([add_noise(prob, delta, child_seed(spec.seed, di, rep)).y_delta
                      for di, delta in enumerate(spec.deltas)
                      for rep in range(spec.replicates)], axis=1)
 
@@ -117,12 +133,12 @@ def _clean_certificate(prob, J, max_iter=None):
     return certify(prob.X, J, prob.y, cfg=cfg, check_every=100)
 
 
-def _distance_curves(spec, prob, J, noise_support=None):
+def _distance_curves(spec, prob, J):
     """Shared semiconvergence machinery: noisy runs against a clean certificate."""
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     cert = _clean_certificate(prob, J)
     cfg = _config(prob.X, spec)
-    logs = iter(run(prob.X, J, _noisy_stack(spec, prob, noise_support), cfg, reference=cert,
+    logs = iter(run(prob.X, J, _noisy_stack(spec, prob), cfg, reference=cert,
                     columns=("dist_ref", "dist_avg_ref")))
     runs, summary_rows, svg_series, svg_marks = [], [], [], []
     per_delta = {}
@@ -173,31 +189,24 @@ def _distance_curves(spec, prob, J, noise_support=None):
 def run_semiconv(spec):
     """Distance-to-reference curves for noisy sparse-recovery runs."""
     spec = replace(spec, deltas=spec.deltas or (0.6, 1.2, 2.4))
-    prob = _sparse(spec)
-    return _distance_curves(spec, prob, L1())
+    return _distance_curves(spec, *_problem("sparse", spec.seed, spec.problem))
 
 
 def run_matcomp(spec):
-    """Semiconvergence for nuclear-norm completion; noise lives on the mask.
+    """Semiconvergence for nuclear-norm completion.
 
-    Off-mask noise components are annihilated by the masking adjoint and
-    cannot influence any iterate, so the perturbation is drawn on the
-    observed entries only.
+    The noise lives on the observed entries, as :func:`~iterreg.problems.add_noise`
+    draws it for every mask problem.
     """
     spec = replace(spec, deltas=spec.deltas or (2.0, 4.0, 8.0))
-    _check_keys(spec.problem, _MATCOMP, "a matcomp problem")
-    prob = gen_matcomp(seed=spec.seed, **spec.problem)
-    d = prob.params["d"]
-    assert isinstance(prob.X, MaskOperator)
-    return _distance_curves(spec, prob, Nuclear(d, d), noise_support=prob.X.gain)
+    return _distance_curves(spec, *_problem("matcomp", spec.seed, spec.problem))
 
 
 def run_stoptime(spec):
     """Oracle stopping time versus noise level, with a straight-line fit."""
     spec = replace(spec, deltas=spec.deltas or tuple(np.linspace(0.1, 6.0, 20)))
-    prob = _sparse(spec)
+    prob, J = _problem("sparse", spec.seed, spec.problem)
     spec.out_dir.mkdir(parents=True, exist_ok=True)
-    J = L1()
     cert = _clean_certificate(prob, J)
     cfg = _config(prob.X, spec)
     k_stars, d_stars = _oracle_stops(prob.X, J, _noisy_stack(spec, prob), cfg, cert.w_star)
@@ -280,9 +289,8 @@ def run_bounds(spec, eps_list=None):
     """
     spec = replace(spec, deltas=spec.deltas or (0.0,))
     eps_list = (0.25, 0.5, 0.9) if eps_list is None else eps_list
-    prob = _sparse(spec)
+    prob, J = _problem("sparse", spec.seed, spec.problem)
     spec.out_dir.mkdir(parents=True, exist_ok=True)
-    J = L1()
     cert = _clean_certificate(prob, J)
     Y = _noisy_stack(spec, prob)
     violations = 0
@@ -336,18 +344,17 @@ def run_pathcmp(spec):
     params = {"delta": 4.0, "folds": 4, "grid_count": 100, "grid_span": 3.0,
               "lasso_tol": 1e-4, "lasso_max_iter": 3000, "cp_iters": 1000}
     sizes = {"n": 400, "p": 800, "s": 120}
-    _check_keys(spec.problem, params.keys() | _SPARSE, "pathcmp")
+    _check_keys(spec.problem, params.keys() | _KEYS["sparse"], "pathcmp")
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     for key, value in spec.problem.items():
         (params if key in params else sizes)[key] = value
-    prob = gen_sparse(seed=spec.seed, **sizes)
+    prob, J = _problem("sparse", spec.seed, sizes)
     noisy = add_noise(prob, params["delta"], child_seed(spec.seed, 17))
     y_obs = noisy.y_delta
     Xm = prob.X.matrix
     rng = np.random.default_rng(child_seed(spec.seed, 23))
     perm = rng.permutation(Xm.shape[0])
     folds = np.array_split(perm, params["folds"])
-    J = L1()
 
     lasso_mse = np.zeros((params["folds"], params["grid_count"]))
     lasso_iters = np.zeros(params["grid_count"])
@@ -413,7 +420,7 @@ def run_pathcmp(spec):
 
 def run_tvdemo(spec):
     """Total-variation inpainting of a piecewise-constant image via the lifted form."""
-    params = {"p1": 8, "p2": 8, "obs_frac": 0.6, "feas_tol": 1e-8}
+    params = {"p1": 8, "p2": 8, "obs_frac": 0.6}
     _check_keys(spec.problem, params, "tv-demo")
     params.update(spec.problem)
     spec.out_dir.mkdir(parents=True, exist_ok=True)
@@ -429,7 +436,7 @@ def run_tvdemo(spec):
     lifted, bias, y_lifted = tv_reformulate(mask, y, p1, p2)
     budget = 100_000 if spec.max_iter is None else spec.max_iter
     cert = certify(lifted, bias, y_lifted, cfg=make_config(lifted, max_iter=budget),
-                   feas_tol=params["feas_tol"] * max(1.0, float(np.linalg.norm(y_lifted))),
+                   feas_tol=1e-8 * max(1.0, float(np.linalg.norm(y_lifted))),
                    check_every=200)
     w_img = cert.w_star[: p1 * p2]
     u_grad = cert.w_star[p1 * p2:]
@@ -450,8 +457,7 @@ def run_solve(spec):
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     prob, J = _problem_for_cli(spec)
     if spec.deltas:
-        prob = add_noise(prob, spec.deltas[0], child_seed(spec.seed, 41),
-                         support=prob.X.gain if isinstance(prob.X, MaskOperator) else None)
+        prob = add_noise(prob, spec.deltas[0], child_seed(spec.seed, 41))
     log = run(prob.X, J, prob.y_delta, _config(prob.X, spec))
     log.write_csv(spec.out_dir / "log.csv")
     save_problem(prob, spec.out_dir / "problem")
@@ -480,17 +486,5 @@ def _problem_for_cli(spec):
     kind. A parameter the named source does not take is a ContractViolation.
     """
     params = dict(spec.problem)
-    kind = params.pop("kind", "sparse")
-    if "load" in params:
-        _check_keys(params, ("load",), "a loaded problem")
-        prob = load_problem(params.pop("load"))
-        kind = prob.kind
-    elif kind in ("sparse", "matcomp"):
-        _check_keys(params, _SPARSE if kind == "sparse" else _MATCOMP, f"a {kind} problem")
-        prob = (gen_sparse if kind == "sparse" else gen_matcomp)(seed=spec.seed, **params)
-    else:
-        raise ContractViolation(f"unknown problem kind {kind!r}")
-    if kind == "matcomp":
-        d = prob.params["d"]
-        return prob, Nuclear(d, d)
-    return prob, L1()
+    kind, load = params.pop("kind", "sparse"), params.pop("load", None)
+    return _problem(kind, spec.seed, params, load)

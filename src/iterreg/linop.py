@@ -80,9 +80,9 @@ class LinearOperator:
         return self._adjoint(as_vector(theta, self.out_dim, self.kind, self.columnwise))
 
     def norm_est(self):
-        """Cached spectral-norm estimate (power iteration with default settings)."""
+        """Cached safe spectral-norm bound for step sizes: 1.01 times :func:`op_norm`."""
         if self._norm_cache is None:
-            self._norm_cache = op_norm(self)
+            self._norm_cache = 1.01 * op_norm(self)
         return self._norm_cache
 
     def columns(self, idx):
@@ -278,8 +278,8 @@ def stack(blocks):
 def op_norm(op, tol=1e-6, max_iter=1000, seed=0):
     """Estimate the spectral norm of ``op`` by power iteration on X^T X.
 
-    The estimate approaches the true norm from below; consumers that need a
-    safe upper bound multiply by 1.01 before use. A zero operator yields 0.
+    The estimate approaches the true norm from below; the safe upper bound is
+    :meth:`LinearOperator.norm_est`. A zero operator yields 0.
     """
     if tol <= 0:
         raise ContractViolation(f"op_norm tol must be positive, got {tol}")

@@ -74,6 +74,11 @@ def gap(w, theta, cert, X, J, y):
         "the certificate does not behave like a saddle point")
 
 
+def _bregman(jw, j_ref, w, w_ref, g_ref):
+    """J(w) - J(w_ref) - <g_ref, w - w_ref>, from J(w) = ``jw`` and J(w_ref) = ``j_ref``."""
+    return jw - j_ref - g_ref @ (w - w_ref)
+
+
 def bregman(J, w, w_ref, g_ref):
     """D_J(w, w_ref) for the subgradient g_ref of J at w_ref.
 
@@ -86,8 +91,7 @@ def bregman(J, w, w_ref, g_ref):
     if subgradient_residual(J, w_ref, g_ref) > 1e-6:
         raise ContractViolation("g_ref is not a subgradient of J at w_ref")
     jw, jr = J(w), J(w_ref)
-    # The gap at theta = theta* of min J(v) s.t. v = w_ref, whose dual is -g_ref.
-    val = float(raw_gap(jw, w, -g_ref, jr, -g_ref, w_ref, np.zeros_like(w_ref)))
+    val = float(_bregman(jw, jr, w, w_ref, g_ref))
     if val >= 0.0:
         return float(val)
     clamp = 1e-10 * (1.0 + abs(jw) + abs(jr))
@@ -107,7 +111,7 @@ def gap_equals_bregman_check(w, cert, X, J, y, tol=1e-10):
     w = np.asarray(w, dtype=float)
     lhs = J(w) + cert.theta_star @ (X.apply(w) - y) - J(cert.w_star)
     g_ref = -X.adjoint(cert.theta_star)
-    rhs = J(w) - J(cert.w_star) - g_ref @ (w - cert.w_star)
+    rhs = _bregman(J(w), J(cert.w_star), w, cert.w_star, g_ref)
     return bool(abs(lhs - rhs) <= tol)
 
 
@@ -219,7 +223,6 @@ def norm_bound(w, cert, bound_data, X, J, y):
     w = np.asarray(w, dtype=float)
     res = float(np.linalg.norm(X.apply(w) - y))
     g_ref = -X.adjoint(cert.theta_star)
-    d = J(w) - J(cert.w_star) - g_ref @ (w - cert.w_star)
-    d = max(float(d), 0.0)
+    d = max(float(_bregman(J(w), J(cert.w_star), w, cert.w_star, g_ref)), 0.0)
     return (bound_data.xg_pinv_norm * res
             + (1.0 + bound_data.xg_pinv_norm * bound_data.x_norm) / (1.0 - bound_data.m) * d)

@@ -95,10 +95,10 @@ class SolverConfig:
 def make_config(X, epsilon=0.99, max_iter=5000, record_every=1):
     """Build a SolverConfig with tau = sigma = sqrt(epsilon)/nu.
 
-    Here nu is 1.01 times the norm estimate of X, so that power-iteration
-    underestimation cannot break sigma*tau*||X||^2 <= epsilon.
+    Here nu is ``X.norm_est()``, a safe upper bound on ||X||, so that
+    sigma*tau*||X||^2 <= epsilon holds.
     """
-    nu = 1.01 * X.norm_est()
+    nu = X.norm_est()
     if nu == 0.0:
         raise ContractViolation("cannot pick step sizes for the zero operator")
     step_size = float(np.sqrt(epsilon) / nu)
@@ -152,10 +152,10 @@ def iterate(X, J, y_obs, cfg):
 
     ``y_obs`` is a vector or an (n, B) stack, whose columns run together.
     Before the first state, the step sizes must satisfy
-    sigma*tau*(1.01*||X||)^2 <= epsilon, with float slack.
+    sigma*tau*nu^2 <= epsilon for nu = ``X.norm_est()``, with float slack.
     """
     y_obs = as_vector(y_obs, X.out_dim, "y_obs", X.columnwise)
-    nu = 1.01 * X.norm_est()
+    nu = X.norm_est()
     if cfg.sigma * cfg.tau * nu * nu > cfg.epsilon * (1.0 + 1e-9):
         raise ContractViolation(
             f"step sizes violate sigma*tau*||X||^2 <= epsilon: "
@@ -196,8 +196,8 @@ LOG_COLUMNS = ("k", "res_clean", "res_noisy", "j_val", "dist_ref", "gap",
 class IterateLog:
     """Recorded diagnostics, strictly increasing in k.
 
-    The log keeps one array per column of ``LOG_COLUMNS``: ``k`` as integers
-    and the others as floats, with NaN where a value was not recorded.
+    The log keeps ``k`` as integers and a float array, NaN where a value was not
+    recorded, for each column it was given; any other column reads as all NaN.
     """
 
     def __init__(self, k=(), **values):
@@ -207,14 +207,13 @@ class IterateLog:
         self._k = np.asarray(k, dtype=int)
         if np.any(np.diff(self._k) <= 0):
             raise ContractViolation("log rows must increase in k")
-        self._values = {c: np.asarray(values[c], dtype=float) if c in values
-                        else np.full(len(self._k), np.nan) for c in LOG_COLUMNS[1:]}
+        self._values = {c: np.asarray(v, dtype=float) for c, v in values.items()}
         if any(v.shape != self._k.shape for v in self._values.values()):
             raise ContractViolation("every log column needs one value per k")
 
     def _records(self):
         """Each row as a tuple in ``LOG_COLUMNS`` order, None where not recorded."""
-        cols = [self._values[c].tolist() for c in LOG_COLUMNS[1:]]
+        cols = [self.column(c).tolist() for c in LOG_COLUMNS[1:]]
         for k, *vals in zip(self._k.tolist(), *cols):
             yield (k, *(None if v != v else v for v in vals))
 
@@ -222,7 +221,9 @@ class IterateLog:
         """Column as a float array; missing values are NaN."""
         if name not in LOG_COLUMNS:
             raise ContractViolation(f"unknown log column {name!r}")
-        return self._k.astype(float) if name == "k" else self._values[name]
+        if name == "k":
+            return self._k.astype(float)
+        return self._values[name] if name in self._values else np.full(len(self._k), np.nan)
 
     def ks(self):
         return self._k

@@ -100,31 +100,26 @@ def gen_matcomp(d=20, r=5, obs_frac_denom=5, y_norm=20.0, seed=0):
                                 "y_norm": y_norm})
 
 
-def add_noise(prob, delta, seed, support=None):
+def add_noise(prob, delta, seed):
     """Observed data at exact distance delta from the clean data.
 
     Draws an i.i.d. Gaussian direction and rescales it so that
-    ||y - y_delta|| equals delta exactly. ``support`` optionally restricts the
-    perturbation to a coordinate subset (a 0/1 gain vector); for masking
-    operators the adjoint annihilates off-mask components, so noise placed
-    there would be invisible to the iteration.
+    ||y - y_delta|| equals delta exactly. For a mask problem the direction
+    lives on the observed entries: the masking adjoint annihilates the others,
+    so noise placed there would be invisible to the iteration.
     """
     if delta < 0:
         raise ContractViolation(f"delta must be nonnegative, got {delta}")
     if delta == 0:
         return dataclasses.replace(prob, y_delta=prob.y.copy(), delta=0.0)
+    gain = prob.X.gain if isinstance(prob.X, MaskOperator) else 1.0
+    if not np.any(gain):
+        raise ContractViolation("a mask with no observed entry cannot carry noise")
     rng = np.random.default_rng(seed)
     n = prob.y.shape[0]
-    e = rng.standard_normal(n)
-    if support is not None:
-        support = np.asarray(support, dtype=float)
-        if support.shape != (n,):
-            raise ContractViolation(f"noise support must have length {n}")
-        e = e * support
+    e = rng.standard_normal(n) * gain
     while np.linalg.norm(e) == 0.0:
-        e = rng.standard_normal(n)
-        if support is not None:
-            e = e * support
+        e = rng.standard_normal(n) * gain
     y_delta = prob.y + delta * e / np.linalg.norm(e)
     return dataclasses.replace(prob, y_delta=y_delta, delta=float(delta))
 

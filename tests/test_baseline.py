@@ -86,7 +86,7 @@ class TestSolveTikhonov:
         y = rng.standard_normal(6)
         lam, tol = 0.8, 1e-9
         sol = solve_tikhonov(X, L1(), y, lam, tol=tol)
-        nu = 1.01 * X.norm_est()
+        nu = X.norm_est()
         step = 1.0 / nu**2
         again = L1().prox(lam * step / 2.0, sol.w - step * X.adjoint(X.apply(sol.w) - y))
         assert np.linalg.norm(again - sol.w) <= tol * (1 + np.linalg.norm(sol.w))

@@ -70,7 +70,8 @@ def test_default_deltas_leave_spec_unchanged(tmp_path, runner, problem):
     (run_bounds, {"rank": 2}, ["rank"]),
     (run_matcomp, {"n": 5, "d": 6}, ["n"]),
     (run_pathcmp, {"d": 5, "n": 30, "cp_iter": 10, "cp_iters": 5}, ["cp_iter", "d"]),
-    (run_tvdemo, {"p_1": 4, "p2": 4, "subgrad_tol": 1e-12}, ["p_1", "subgrad_tol"]),
+    (run_tvdemo, {"p_1": 4, "p2": 4, "subgrad_tol": 1e-12, "feas_tol": 1e-9},
+     ["feas_tol", "p_1", "subgrad_tol"]),
 ])
 def test_unknown_problem_keys_are_named_before_anything_runs(tmp_path, runner, problem,
                                                              unknown):

@@ -124,6 +124,12 @@ class TestOpNorm:
         with pytest.raises(ContractViolation):
             op_norm(identity(2), tol=0.0)
 
+    def test_norm_est_is_the_safe_bound(self):
+        """The one home of the 1.01 safety factor, exact for every operator kind."""
+        for op in random_operators(np.random.default_rng(4)):
+            assert op.norm_est() == 1.01 * op_norm(op), op
+            assert op.norm_est() is op.norm_est(), op
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_equals_the_np_linalg_norm_iteration(self, seed):
         """Every step size hangs on this value, so it must not move by a bit."""

@@ -15,6 +15,7 @@ from iterreg import (
     certify,
     gap,
     gap_equals_bregman_check,
+    gen_sparse,
     norm_bound,
     norm_bound_data,
     identity,
@@ -251,6 +252,29 @@ class TestNormBound:
         expected = (1 + gd.xg_pinv_norm * gd.x_norm) / (1 - gd.m) * breg
         assert norm_bound(w, tiny_bp_cert, gd, X, J, y) == pytest.approx(
             expected, rel=1e-6)
+
+    @pytest.mark.parametrize("seed, kwargs, tols", [
+        (11, dict(n=4, p=8, s=2, corr=0.0, y_norm=3.0), (1e-12, 1e-10)),
+        (12, dict(n=4, p=8, s=2, corr=0.3, y_norm=3.0), (1e-12, 1e-10)),
+        (13, dict(n=20, p=50, s=5, corr=0.2, y_norm=10.0), (1e-11, 1e-9)),
+    ])
+    def test_equals_the_inline_formula(self, seed, kwargs, tols):
+        """On the criterion-6 instances, bit for bit the formula with the Bregman term inline."""
+        prob = gen_sparse(seed=seed, **kwargs)
+        X, J, y = prob.X, L1(), prob.y
+        cert = certify(X, J, y, cfg=make_config(X, max_iter=500_000),
+                       feas_tol=tols[0], subgrad_tol=tols[1], check_every=50)
+        gd = norm_bound_data(X, cert)
+        rng = np.random.default_rng(6000 + seed)
+        for scale in (1e-3, 1e-1, 1.0):
+            for _ in range(20):
+                w = cert.w_star + scale * rng.standard_normal(X.in_dim)
+                res = float(np.linalg.norm(X.apply(w) - y))
+                g_ref = -X.adjoint(cert.theta_star)
+                d = max(float(J(w) - J(cert.w_star) - g_ref @ (w - cert.w_star)), 0.0)
+                want = (gd.xg_pinv_norm * res
+                        + (1.0 + gd.xg_pinv_norm * gd.x_norm) / (1.0 - gd.m) * d)
+                assert norm_bound(w, cert, gd, X, J, y) == want
 
     def test_l1_only(self, tiny_bp, tiny_bp_cert):
         X, J, y = tiny_bp

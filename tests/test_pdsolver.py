@@ -52,7 +52,7 @@ class TestConfig:
     def test_default_steps_meet_product(self):
         X = DenseOperator(np.diag([2.0, 1.0]))
         cfg = make_config(X, epsilon=0.5)
-        nu = 1.01 * X.norm_est()
+        nu = X.norm_est()
         assert cfg.sigma * cfg.tau * nu * nu == pytest.approx(0.5, rel=1e-9)
         assert cfg.tau == cfg.sigma
 
@@ -364,8 +364,7 @@ def batched_cases(small_sql2, small_sql2_cert):
                             (gen_matcomp(seed=0), Nuclear(20, 20), (2.0, 4.0, 6.0))):
         cert = certify(prob.X, J, prob.y, cfg=make_config(prob.X, max_iter=500_000),
                        check_every=100)
-        support = prob.X.gain if isinstance(J, Nuclear) else None
-        Y = np.stack([add_noise(prob, d, 7 + i, support=support).y_delta
+        Y = np.stack([add_noise(prob, d, 7 + i).y_delta
                       for i, d in enumerate(deltas)], axis=1)
         cases.append((prob.X, J, Y, make_config(prob.X, max_iter=600), cert))
     X, J, y = small_sql2

@@ -104,11 +104,35 @@ class TestAddNoise:
             np.linalg.norm(b.y_delta - prob.y), rel=1e-12)
 
     def test_support_restriction(self):
+        """On a mask problem the noise lives on the observed entries, unasked."""
         prob = gen_matcomp(d=6, r=2, obs_frac_denom=3, seed=0)
-        noisy = add_noise(prob, 2.0, seed=3, support=prob.X.gain)
+        noisy = add_noise(prob, 2.0, seed=3)
         diff = noisy.y_delta - prob.y
         assert np.linalg.norm(diff) == pytest.approx(2.0, rel=1e-10)
         assert np.all(diff[prob.X.gain == 0.0] == 0.0)
+        assert np.all(diff[prob.X.gain == 1.0] != 0.0)
+
+    @pytest.mark.parametrize("delta", [0.3, 2.0, 11.0])
+    def test_mask_noise_equals_the_draw_restricted_to_the_mask(self, delta):
+        """The bytes of the draw that multiplied by the 0/1 gain of the mask."""
+        prob = gen_matcomp(d=6, r=2, obs_frac_denom=3, seed=0)
+        e = np.random.default_rng(3).standard_normal(36) * np.asarray(prob.X.gain, dtype=float)
+        want = prob.y + delta * e / np.linalg.norm(e)
+        got = add_noise(prob, delta, seed=3).y_delta
+        assert got.tobytes() == want.tobytes()
+        assert np.linalg.norm(got - prob.y) == pytest.approx(delta, rel=1e-14)
+
+    def test_dense_noise_equals_the_plain_draw(self):
+        prob = gen_sparse(n=20, p=40, s=4, seed=0)
+        e = np.random.default_rng(9).standard_normal(20)
+        want = prob.y + 1.5 * e / np.linalg.norm(e)
+        assert add_noise(prob, 1.5, seed=9).y_delta.tobytes() == want.tobytes()
+
+    def test_mask_without_observed_entries_rejected(self):
+        prob = gen_matcomp(d=2, r=1, obs_frac_denom=5, seed=0)
+        assert not prob.X.observed
+        with pytest.raises(ContractViolation, match="no observed entry"):
+            add_noise(prob, 1.0, seed=0)
 
     def test_negative_delta_rejected(self):
         prob = gen_sparse(n=5, p=10, s=1, seed=0)
