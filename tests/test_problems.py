@@ -114,7 +114,7 @@ class TestAddNoise:
 
     @pytest.mark.parametrize("delta", [0.3, 2.0, 11.0])
     def test_mask_noise_equals_the_draw_restricted_to_the_mask(self, delta):
-        """The bytes of the draw that multiplied by the 0/1 gain of the mask."""
+        """Bit for bit the plain draw times the 0/1 gain of the mask."""
         prob = gen_matcomp(d=6, r=2, obs_frac_denom=3, seed=0)
         e = np.random.default_rng(3).standard_normal(36) * np.asarray(prob.X.gain, dtype=float)
         want = prob.y + delta * e / np.linalg.norm(e)
