@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractViolation
-from .linop import norms
+from .linop import as_vector, norms
 
 __all__ = ["Bias", "L1", "SqL2", "Nuclear", "Zero", "BlockBias", "soft_threshold",
            "subgradient_residual"]
@@ -135,10 +135,7 @@ class Nuclear(Bias):
 
     def _as_matrices(self, w):
         """The p1 x p2 matrix of a vector, or the (B, p1, p2) matrices of a stack."""
-        w = np.asarray(w, dtype=float)
-        if w.ndim not in (1, 2) or w.shape[0] != self.p1 * self.p2:
-            raise ContractViolation(
-                f"nuclear bias expects length {self.p1 * self.p2}, got shape {w.shape}")
+        w = as_vector(w, self.p1 * self.p2, "nuclear bias", columns=True)
         return w.T.reshape(w.shape[1:] + (self.p1, self.p2))
 
     def __call__(self, w):
@@ -192,19 +189,13 @@ class BlockBias(Bias):
         self.parts = tuple(parts)
         self.dim = expected
 
-    def _split_check(self, v, what):
-        v = np.asarray(v, dtype=float)
-        if v.ndim not in (1, 2) or v.shape[0] != self.dim:
-            raise ContractViolation(f"{what}: expected length {self.dim}, got shape {v.shape}")
-        return v
-
     def __call__(self, w):
-        w = self._split_check(w, "block eval")
+        w = as_vector(w, self.dim, "block eval", columns=True)
         return _per_column(sum(b(w[s:e]) for b, s, e in self.parts))
 
     def prox(self, tau, v):
         _check_tau(tau)
-        v = self._split_check(v, "block prox")
+        v = as_vector(v, self.dim, "block prox", columns=True)
         return np.concatenate([b.prox(tau, v[s:e]) for b, s, e in self.parts])
 
     def __repr__(self):

@@ -2,9 +2,9 @@
 
 Every experiment is deterministic given its spec: replicate noise seeds are
 derived from the base seed through numpy SeedSequence spawn keys, and output
-files are written once at the end. The noisy replicates of an experiment (all
-its noise levels and replicates, in that order) run as the columns of one
-batched iteration.
+files are written once at the end. The noisy replicates of an experiment run
+as the columns of one batched iteration, by noise level as the spec lists
+them and then by replicate, each column labelled with its (delta, replicate).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .bias import L1, Nuclear
 from .errors import AssumptionViolated, BoundViolation, ContractViolation
 from .linop import DenseOperator, Grad2D, MaskOperator, norms
 from .metrics import BoundInputs, stability_feas_bound, stability_gap_bound, weighted_v
-from .pdsolver import certify, iterate, make_config, run, write_csv
+from .pdsolver import certify, iterate, make_config, recorded_iterations, run, write_csv
 from .problems import add_noise, gen_matcomp, gen_sparse, load_problem, save_problem, tv_reformulate
 from .stopping import oracle_stop
 from .svgplot import line_chart
@@ -70,6 +70,14 @@ class ExperimentSpec:
             raise ContractViolation(f"replicates must be >= 1, got {self.replicates}")
         if any(d < 0 for d in self.deltas):
             raise ContractViolation(f"noise levels must be nonnegative, got {self.deltas}")
+        _check_distinct(self.deltas, "noise levels")
+
+
+def _check_distinct(values, what):
+    """Raise a ContractViolation naming every value that ``values`` holds more than once."""
+    repeated = sorted({float(v) for v in values if values.count(v) > 1})
+    if repeated:
+        raise ContractViolation(f"{what} must be distinct; {repeated} repeat")
 
 
 def child_seed(base, *key):
@@ -120,56 +128,58 @@ def _config(X, spec, **fixed):
     return make_config(X, **{k: v for k, v in given.items() if v is not None})
 
 
-def _noisy_stack(spec, prob):
-    """The noisy data of every (delta, replicate) pair as the columns of one array."""
-    return np.stack([add_noise(prob, delta, child_seed(spec.seed, di, rep)).y_delta
-                     for di, delta in enumerate(spec.deltas)
-                     for rep in range(spec.replicates)], axis=1)
-
-
 def _clean_certificate(prob, J, max_iter=None):
     """The clean problem's certificate, checked every 100 iterations; None: certify's budget."""
     cfg = None if max_iter is None else make_config(prob.X, max_iter=max_iter)
     return certify(prob.X, J, prob.y, cfg=cfg, check_every=100)
 
 
-def _distance_curves(spec, prob, J):
-    """Shared semiconvergence machinery: noisy runs against a clean certificate."""
+def _noisy_sweep(spec, kind, deltas):
+    """The spec with its noise levels (``deltas`` if it sets none), the operator and bias of
+    a ``kind`` problem, the clean certificate, the noisy data as columns and their labels.
+
+    The output directory is made once the keys of ``spec.problem`` passed.
+    """
+    spec = replace(spec, deltas=spec.deltas or deltas)
+    prob, J = _problem(kind, spec.seed, spec.problem)
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     cert = _clean_certificate(prob, J)
-    cfg = _config(prob.X, spec)
-    logs = iter(run(prob.X, J, _noisy_stack(spec, prob), cfg, reference=cert,
-                    columns=("dist_ref", "dist_avg_ref")))
-    runs, summary_rows, svg_series, svg_marks = [], [], [], []
+    labels = [(delta, rep) for delta in spec.deltas for rep in range(spec.replicates)]
+    # a noise level's seeds are keyed by its position in the spec; the levels are distinct
+    Y = np.stack([add_noise(prob, delta, child_seed(spec.seed, spec.deltas.index(delta), rep))
+                  .y_delta for delta, rep in labels], axis=1)
+    return spec, prob.X, J, cert, Y, labels
+
+
+def _distance_curves(spec, kind, deltas):
+    """Shared semiconvergence machinery: noisy runs against a clean certificate."""
+    spec, X, J, cert, Y, labels = _noisy_sweep(spec, kind, deltas)
+    logs = run(X, J, Y, _config(X, spec), reference=cert, columns=("dist_ref", "dist_avg_ref"))
+    summary_rows, svg_series, svg_marks = [], [], []
+    for (delta, rep), log in zip(labels, logs):
+        ks = log.ks()
+        dist = log.column("dist_ref")
+        k_star, d_star = oracle_stop(log)
+        first, last = float(dist[0]), float(dist[-1])
+        interior = bool(ks[0] < k_star < ks[-1]
+                        and d_star <= 0.99 * first and d_star <= 0.99 * last)
+        margin = min(first, last) / d_star - 1.0 if d_star > 0 else np.inf
+        summary_rows.append((delta, rep, k_star, d_star, first, last,
+                             int(interior), float(margin)))
+        if rep == 0:
+            svg_series.append((f"delta={delta:g}", ks.astype(float), dist))
+            svg_marks.append((f"k*={k_star}", float(k_star), float(d_star)))
     per_delta = {}
     for delta in spec.deltas:
-        mins = []
-        for rep in range(spec.replicates):
-            log = next(logs)
-            runs.append((delta, rep, log))
-            ks = log.ks()
-            dist = log.column("dist_ref")
-            k_star, d_star = oracle_stop(log)
-            first, last = float(dist[0]), float(dist[-1])
-            interior = bool(ks[0] < k_star < ks[-1]
-                            and d_star <= 0.99 * first and d_star <= 0.99 * last)
-            margin = min(first, last) / d_star - 1.0 if d_star > 0 else np.inf
-            mins.append(d_star)
-            summary_rows.append((delta, rep, k_star, d_star, first, last,
-                                 int(interior), float(margin)))
-            if rep == 0:
-                svg_series.append((f"delta={delta:g}", ks.astype(float), dist))
-                svg_marks.append((f"k*={k_star}", float(k_star), float(d_star)))
-        per_delta[delta] = {
-            "mean_min_dist": float(np.mean(mins)),
-            "interior": [bool(r[6]) for r in summary_rows if r[0] == delta],
-            "k_star": [int(r[2]) for r in summary_rows if r[0] == delta],
-            "margins": [float(r[7]) for r in summary_rows if r[0] == delta],
-        }
+        rows = [r for r in summary_rows if r[0] == delta]
+        per_delta[delta] = {"mean_min_dist": float(np.mean([r[3] for r in rows])),
+                            "interior": [bool(r[6]) for r in rows],
+                            "k_star": [int(r[2]) for r in rows],
+                            "margins": [float(r[7]) for r in rows]}
     name = spec.name
     write_csv(spec.out_dir / f"{name}_curves.csv",
               ("delta", "replicate", "k", "dist", "dist_avg"),
-              ((delta, rep, k, d, da) for delta, rep, log in runs
+              ((delta, rep, k, d, da) for (delta, rep), log in zip(labels, logs)
                for k, d, da in zip(log.ks().tolist(), log.column("dist_ref").tolist(),
                                    log.column("dist_avg_ref").tolist())))
     write_csv(spec.out_dir / f"{name}_summary.csv",
@@ -188,8 +198,7 @@ def _distance_curves(spec, prob, J):
 
 def run_semiconv(spec):
     """Distance-to-reference curves for noisy sparse-recovery runs."""
-    spec = replace(spec, deltas=spec.deltas or (0.6, 1.2, 2.4))
-    return _distance_curves(spec, *_problem("sparse", spec.seed, spec.problem))
+    return _distance_curves(spec, "sparse", (0.6, 1.2, 2.4))
 
 
 def run_matcomp(spec):
@@ -198,37 +207,28 @@ def run_matcomp(spec):
     The noise lives on the observed entries, as :func:`~iterreg.problems.add_noise`
     draws it for every mask problem.
     """
-    spec = replace(spec, deltas=spec.deltas or (2.0, 4.0, 8.0))
-    return _distance_curves(spec, *_problem("matcomp", spec.seed, spec.problem))
+    return _distance_curves(spec, "matcomp", (2.0, 4.0, 8.0))
 
 
 def run_stoptime(spec):
     """Oracle stopping time versus noise level, with a straight-line fit."""
-    spec = replace(spec, deltas=spec.deltas or tuple(np.linspace(0.1, 6.0, 20)))
-    prob, J = _problem("sparse", spec.seed, spec.problem)
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
-    cert = _clean_certificate(prob, J)
-    cfg = _config(prob.X, spec)
-    k_stars, d_stars = _oracle_stops(prob.X, J, _noisy_stack(spec, prob), cfg, cert.w_star)
-    if not k_stars.all():
-        di, rep = divmod(int(np.argmin(k_stars)), spec.replicates)
-        raise AssumptionViolated(
-            f"the oracle stop of delta={spec.deltas[di]:g}, replicate {rep} is k* = 0 "
-            f"(no iterate comes closer to the clean solution than the initial one), "
-            f"so 1/k* is undefined")
-    raw_rows, sum_rows = [], []
-    mean_inv = []
-    mean_k = []
-    for di, delta in enumerate(spec.deltas):
-        cols = slice(di * spec.replicates, (di + 1) * spec.replicates)
-        ks = k_stars[cols].tolist()
-        raw_rows.extend((delta, rep, k, d)
-                        for rep, (k, d) in enumerate(zip(ks, d_stars[cols].tolist())))
+    spec, X, J, cert, Y, labels = _noisy_sweep(spec, "sparse",
+                                               tuple(np.linspace(0.1, 6.0, 20)))
+    k_stars, d_stars = _oracle_stops(X, J, Y, _config(X, spec), cert.w_star)
+    raw_rows = [(delta, rep, k, d)
+                for (delta, rep), k, d in zip(labels, k_stars.tolist(), d_stars.tolist())]
+    for delta, rep, k, _ in raw_rows:
+        if k == 0:
+            raise AssumptionViolated(
+                f"the oracle stop of delta={delta:g}, replicate {rep} is k* = 0 "
+                f"(no iterate comes closer to the clean solution than the initial one), "
+                f"so 1/k* is undefined")
+    sum_rows = []
+    for delta in spec.deltas:
+        ks = [row[2] for row in raw_rows if row[0] == delta]
         inv = [1.0 / k for k in ks]
-        mean_inv.append(float(np.mean(inv)))
-        mean_k.append(float(np.mean(ks)))
-        sum_rows.append((delta, float(np.mean(ks)), float(np.mean(inv)),
-                         float(np.std(inv))))
+        sum_rows.append((delta, float(np.mean(ks)), float(np.mean(inv)), float(np.std(inv))))
+    mean_k, mean_inv = [row[1] for row in sum_rows], [row[2] for row in sum_rows]
     deltas = np.asarray(spec.deltas, dtype=float)
     inv = np.asarray(mean_inv)
     if len(deltas) >= 2:
@@ -270,9 +270,12 @@ def _oracle_stops(X, J, Y, cfg, w_star):
     best_k = np.zeros(Y.shape[1], dtype=int)
     best_d = np.full(Y.shape[1], np.inf)
     w_star = w_star[:, None]
+    due = recorded_iterations(cfg.record_every, cfg.max_iter)
+    next_k = next(due)
     for state in iterate(X, J, Y, cfg):
-        if state.k % cfg.record_every and state.k != cfg.max_iter:
+        if state.k != next_k:
             continue
+        next_k = next(due, None)
         d = norms(state.w - w_star)
         better = d < best_d
         best_k[better] = state.k
@@ -283,47 +286,41 @@ def _oracle_stops(X, J, Y, cfg, w_star):
 def run_bounds(spec, eps_list=None):
     """Measured averaged-iterate gap and residual against their upper bounds.
 
-    Sweeps the step-size products ``eps_list`` (None: 0.25, 0.5 and 0.9).
+    Sweeps the distinct step-size products ``eps_list`` (None: 0.25, 0.5, 0.9).
     Writes one CSV per (epsilon, delta, replicate) and raises BoundViolation
     if any measurement exceeds its bound by more than 1e-8 relative.
     """
-    spec = replace(spec, deltas=spec.deltas or (0.0,))
-    eps_list = (0.25, 0.5, 0.9) if eps_list is None else eps_list
-    prob, J = _problem("sparse", spec.seed, spec.problem)
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
-    cert = _clean_certificate(prob, J)
-    Y = _noisy_stack(spec, prob)
+    eps_list = (0.25, 0.5, 0.9) if eps_list is None else tuple(eps_list)
+    _check_distinct(eps_list, "bound epsilons")
+    spec, X, J, cert, Y, labels = _noisy_sweep(spec, "sparse", (0.0,))
     violations = 0
     worst_gap_ratio = worst_feas_ratio = -np.inf
     for eps in eps_list:
-        cfg = _config(prob.X, spec, epsilon=eps)
+        cfg = _config(X, spec, epsilon=eps)
         v0 = weighted_v(-cert.w_star, -cert.theta_star, cfg.tau, cfg.sigma)
-        logs = iter(run(prob.X, J, Y, cfg, reference=cert,
-                        columns=("gap_avg", "res_avg_clean")))
-        for delta in spec.deltas:
+        logs = run(X, J, Y, cfg, reference=cert, columns=("gap_avg", "res_avg_clean"))
+        for (delta, rep), log in zip(labels, logs):
             b = BoundInputs(v0=v0, sigma=cfg.sigma, epsilon=eps, delta=delta)
-            for rep in range(spec.replicates):
-                log = next(logs)
-                past = log.ks() >= 1
-                k = log.ks()[past]
-                gap_meas = log.column("gap_avg")[past]
-                feas_sq = log.column("res_avg_clean")[past] ** 2
-                gb, fb = stability_gap_bound(k, b), stability_feas_bound(k, b)
-                gap_ok = gap_meas <= gb * (1.0 + 1e-8)
-                feas_ok = feas_sq <= fb * (1.0 + 1e-8)
-                pos = gb > 0
-                if pos.any():
-                    worst_gap_ratio = max(worst_gap_ratio, np.max(gap_meas[pos] / gb[pos]))
-                pos = fb > 0
-                if pos.any():
-                    worst_feas_ratio = max(worst_feas_ratio, np.max(feas_sq[pos] / fb[pos]))
-                violations += int(np.sum(~gap_ok) + np.sum(~feas_ok))
-                write_csv(spec.out_dir / f"bounds_eps{eps:g}_delta{delta:g}_rep{rep}.csv",
-                          ("k", "gap_meas", "gap_bound", "feas_sq_meas",
-                           "feas_bound", "gap_ok", "feas_ok"),
-                          zip(k.tolist(), gap_meas.tolist(), gb.tolist(), feas_sq.tolist(),
-                              fb.tolist(), gap_ok.astype(int).tolist(),
-                              feas_ok.astype(int).tolist()))
+            past = log.ks() >= 1
+            k = log.ks()[past]
+            gap_meas = log.column("gap_avg")[past]
+            feas_sq = log.column("res_avg_clean")[past] ** 2
+            gb, fb = stability_gap_bound(k, b), stability_feas_bound(k, b)
+            gap_ok = gap_meas <= gb * (1.0 + 1e-8)
+            feas_ok = feas_sq <= fb * (1.0 + 1e-8)
+            pos = gb > 0
+            if pos.any():
+                worst_gap_ratio = max(worst_gap_ratio, np.max(gap_meas[pos] / gb[pos]))
+            pos = fb > 0
+            if pos.any():
+                worst_feas_ratio = max(worst_feas_ratio, np.max(feas_sq[pos] / fb[pos]))
+            violations += int(np.sum(~gap_ok) + np.sum(~feas_ok))
+            write_csv(spec.out_dir / f"bounds_eps{eps:g}_delta{delta:g}_rep{rep}.csv",
+                      ("k", "gap_meas", "gap_bound", "feas_sq_meas",
+                       "feas_bound", "gap_ok", "feas_ok"),
+                      zip(k.tolist(), gap_meas.tolist(), gb.tolist(), feas_sq.tolist(),
+                          fb.tolist(), gap_ok.astype(int).tolist(),
+                          feas_ok.astype(int).tolist()))
     summary = {"violations": violations,
                "worst_gap_ratio": float(worst_gap_ratio),
                "worst_feas_ratio": float(worst_feas_ratio)}

@@ -2,9 +2,9 @@
 
 Operators map flat float vectors to flat float vectors. A matrix variable over a
 p1 x p2 grid is identified with a vector of length p1*p2 in row-major order, so
-matrix-valued problems reuse the vector machinery unchanged. Dense and mask
-operators also map a stack of B such vectors, held as the columns of a
-(dim, B) array, column by column. Operators are immutable after construction;
+matrix-valued problems reuse the vector machinery unchanged. Every operator
+also maps a stack of B such vectors, held as the columns of a (dim, B) array,
+column by column. Operators are immutable after construction;
 ``apply`` and ``adjoint`` are pure and safe to share across concurrent runs.
 """
 
@@ -54,14 +54,12 @@ class LinearOperator:
     kind : str
         One of ``dense``, ``mask``, ``grad2d``, ``stacked``.
     in_dim, out_dim : int
-        Domain and codomain dimensions (p and n).
-    columnwise : bool
-        Whether ``apply`` and ``adjoint`` also map a (dim, B) stack of vectors,
-        column by column.
+        Domain and codomain dimensions (p and n); ``apply`` and ``adjoint``
+        take a vector of the one and return a vector of the other, or map a
+        (dim, B) stack of them column by column.
     """
 
     kind = "abstract"
-    columnwise = True
 
     def __init__(self, in_dim, out_dim):
         in_dim, out_dim = int(in_dim), int(out_dim)
@@ -73,11 +71,11 @@ class LinearOperator:
 
     def apply(self, w):
         """Forward map X w, of a vector or of each column of a stack."""
-        return self._apply(as_vector(w, self.in_dim, self.kind, self.columnwise))
+        return self._apply(as_vector(w, self.in_dim, self.kind, columns=True))
 
     def adjoint(self, theta):
         """Adjoint map X^T theta, of a vector or of each column of a stack."""
-        return self._adjoint(as_vector(theta, self.out_dim, self.kind, self.columnwise))
+        return self._adjoint(as_vector(theta, self.out_dim, self.kind, columns=True))
 
     def norm_est(self):
         """Cached safe spectral-norm bound for step sizes: 1.01 times :func:`op_norm`."""
@@ -181,37 +179,35 @@ class Grad2D(LinearOperator):
     """
 
     kind = "grad2d"
-    columnwise = False
 
     def __init__(self, p1, p2):
         self.p1, self.p2 = int(p1), int(p2)
         super().__init__(self.p1 * self.p2, 2 * self.p1 * self.p2)
 
     def _apply(self, w):
-        W = w.reshape(self.p1, self.p2)
+        W = w.reshape(self.p1, self.p2, *w.shape[1:])
         dr = np.zeros_like(W)
         dr[:-1, :] = W[1:, :] - W[:-1, :]
         dc = np.zeros_like(W)
         dc[:, :-1] = W[:, 1:] - W[:, :-1]
-        return np.concatenate([dr.ravel(), dc.ravel()])
+        return np.concatenate([dr, dc]).reshape(self.out_dim, *w.shape[1:])
 
     def _adjoint(self, theta):
-        m = self.p1 * self.p2
-        a = theta[:m].reshape(self.p1, self.p2)
-        b = theta[m:].reshape(self.p1, self.p2)
-        out = np.zeros((self.p1, self.p2))
+        m, batch = self.p1 * self.p2, theta.shape[1:]
+        a = theta[:m].reshape(self.p1, self.p2, *batch)
+        b = theta[m:].reshape(self.p1, self.p2, *batch)
+        out = np.zeros((self.p1, self.p2, *batch))
         out[1:, :] += a[:-1, :]
         out[:-1, :] -= a[:-1, :]
         out[:, 1:] += b[:, :-1]
         out[:, :-1] -= b[:, :-1]
-        return out.ravel()
+        return out.reshape(m, *batch)
 
 
 class StackedOperator(LinearOperator):
     """Block matrix of child operators; ``None`` entries are zero blocks."""
 
     kind = "stacked"
-    columnwise = False
 
     def __init__(self, blocks):
         rows = [tuple(row) for row in blocks]
@@ -250,7 +246,7 @@ class StackedOperator(LinearOperator):
         super().__init__(int(self._col_off[-1]), int(self._row_off[-1]))
 
     def _apply(self, w):
-        out = np.zeros(self.out_dim)
+        out = np.zeros((self.out_dim, *w.shape[1:]))
         for i, row in enumerate(self.blocks):
             r0, r1 = self._row_off[i], self._row_off[i + 1]
             for j, blk in enumerate(row):
@@ -260,7 +256,7 @@ class StackedOperator(LinearOperator):
         return out
 
     def _adjoint(self, theta):
-        out = np.zeros(self.in_dim)
+        out = np.zeros((self.in_dim, *theta.shape[1:]))
         for i, row in enumerate(self.blocks):
             r0, r1 = self._row_off[i], self._row_off[i + 1]
             for j, blk in enumerate(row):

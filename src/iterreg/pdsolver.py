@@ -147,6 +147,12 @@ def _non_finite(w, theta, k):
                             k=k, columns=bad.tolist())
 
 
+def recorded_iterations(every, budget):
+    """Yield the iterations a run records, in order: k = 0, every ``every``-th, and ``budget``."""
+    yield from range(0, budget, every)
+    yield budget
+
+
 def iterate(X, J, y_obs, cfg):
     """Yield the states k = 0..cfg.max_iter of the iteration on ``y_obs``.
 
@@ -154,7 +160,7 @@ def iterate(X, J, y_obs, cfg):
     Before the first state, the step sizes must satisfy
     sigma*tau*nu^2 <= epsilon for nu = ``X.norm_est()``, with float slack.
     """
-    y_obs = as_vector(y_obs, X.out_dim, "y_obs", X.columnwise)
+    y_obs = as_vector(y_obs, X.out_dim, "y_obs", columns=True)
     nu = X.norm_est()
     if cfg.sigma * cfg.tau * nu * nu > cfg.epsilon * (1.0 + 1e-9):
         raise ContractViolation(
@@ -250,17 +256,18 @@ class IterateLog:
 class _Recorder:
     """Fills the asked-for log columns at the recorded iterations, all columns of a stack at once.
 
-    Values go into arrays preallocated for the recorded k; the gap and bregman
-    columns are raw values of :func:`~iterreg.metrics.raw_gap`. It computes
-    only what its columns read: J(w), J of the averaged w, J(w*), and the
-    running sums of w, theta and X w over k >= 1; ``add`` must see every state.
+    Values go into arrays preallocated for the k of :func:`recorded_iterations`;
+    the gap and bregman columns are raw values of
+    :func:`~iterreg.metrics.raw_gap`. It computes only what its columns read:
+    J(w), J of the averaged w, J(w*), and the running sums of w, theta and X w
+    over k >= 1; ``add`` must see every state.
     """
 
     def __init__(self, X, J, y_obs, cfg, reference, columns):
         self.J, self.y_obs, self.y_clean = J, y_obs, y_obs
-        self.record_every, self.max_iter = cfg.record_every, cfg.max_iter
-        self.ks = np.unique(np.append(np.arange(0, cfg.max_iter + 1, cfg.record_every),
-                                      cfg.max_iter))
+        self.ks = np.fromiter(recorded_iterations(cfg.record_every, cfg.max_iter), dtype=int)
+        self.due = recorded_iterations(cfg.record_every, cfg.max_iter)
+        self.next_k = next(self.due)
         batch = y_obs.shape[1:]
         self.values = {c: np.full((len(self.ks), *batch), np.nan) for c in columns}
         self.row = 0
@@ -284,9 +291,10 @@ class _Recorder:
         if state.k > 0:
             for name, total in self.sums.items():
                 total += getattr(state, name)
-        if state.k % self.record_every == 0 or state.k == self.max_iter:
+        if state.k == self.next_k:
             self._record(state)
             self.row += 1
+            self.next_k = next(self.due, None)
 
     def _gap(self, jw, xw, theta):
         return raw_gap(jw, xw, theta, self.j_star, self.theta_star, self.y_clean, self.r_star)
@@ -337,9 +345,10 @@ def _log_columns(columns, reference):
 def run(X, J, y_obs, cfg, reference=None, columns=None):
     """Execute the iteration on ``y_obs`` and return the diagnostic log.
 
-    Diagnostics are recorded at k = 0, every ``cfg.record_every`` iterations,
-    and at the final iteration. ``columns`` names the columns computed besides
-    ``k``, the others staying NaN; None asks for all that the arguments allow.
+    Diagnostics are recorded at the iterations of :func:`recorded_iterations`:
+    k = 0, every ``cfg.record_every`` iterations, and the final iteration.
+    ``columns`` names the columns computed besides ``k``, the others staying
+    NaN; None asks for all that the arguments allow.
     The distance, gap and Bregman columns need ``reference`` and are measured
     against the certificate and the clean data it carries; the gap columns
     store the plain Lagrangian difference without clamping. For an (n, B)
@@ -347,7 +356,7 @@ def run(X, J, y_obs, cfg, reference=None, columns=None):
     is the list of their B logs, in column order.
     """
     columns = _log_columns(columns, reference)
-    y_obs = as_vector(y_obs, X.out_dim, "y_obs", X.columnwise)
+    y_obs = as_vector(y_obs, X.out_dim, "y_obs", columns=True)
     rec = _Recorder(X, J, y_obs, cfg, reference, columns)
     for state in iterate(X, J, y_obs, cfg):
         rec.add(state)
@@ -357,10 +366,10 @@ def run(X, J, y_obs, cfg, reference=None, columns=None):
 def certify(X, J, y, cfg=None, feas_tol=None, subgrad_tol=1e-6, check_every=50):
     """Run on clean data until the saddle conditions hold; return the pair.
 
-    The conditions are checked every ``check_every`` iterations and at
-    ``cfg.max_iter``. When the iterate fails them, the check also tries the
-    bias's polish of the pair (:meth:`~iterreg.bias.Bias.polish`), accepted
-    under the same tolerances. Defaults: feas_tol = 1e-9 * max(1, ||y||),
+    The conditions are checked at the :func:`recorded_iterations` of stride
+    ``check_every`` but k = 0, the last being ``cfg.max_iter``. When the
+    iterate fails them, the check also tries the bias's polish of the pair
+    (:meth:`~iterreg.bias.Bias.polish`), accepted under the same tolerances. Defaults: feas_tol = 1e-9 * max(1, ||y||),
     subgrad_tol = 1e-6. Raises :class:`CertificationFailure` with the best
     residuals of the iterates, the iterations that reached them and the
     residuals of every check if the tolerances are not reached within
@@ -381,9 +390,13 @@ def certify(X, J, y, cfg=None, feas_tol=None, subgrad_tol=1e-6, check_every=50):
     def passes(feas, sub):
         return feas <= feas_tol and sub <= subgrad_tol
 
+    checks = recorded_iterations(check_every, cfg.max_iter)
+    next(checks)  # k = 0 is not checked
+    due = next(checks, None)
     for state in iterate(X, J, y, cfg):
-        if state.k == 0 or (state.k % check_every and state.k != cfg.max_iter):
+        if state.k != due:
             continue
+        due = next(checks, None)
         feas, sub = residuals(state.w, state.xw, state.theta)
         checked.append(state.k)
         feas_hist.append(feas)

@@ -128,6 +128,19 @@ def test_loaded_problem_takes_no_generator_flags(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, named", [
+    (("semiconv", "--delta", "0.6", "--delta", "0.6", "--delta", "1.2", "--replicates", "2"),
+     "noise levels must be distinct; [0.6] repeat"),
+    (("bounds", "--delta", "0.5", "--bound-eps", "0.5", "--bound-eps", "0.5"),
+     "bound epsilons must be distinct; [0.5] repeat"),
+])
+def test_repeated_noise_level_or_bound_epsilon_is_an_error(tmp_path, capsys, argv, named):
+    rc = cli.main([*argv, "--n", "30", "--p", "60", "--s", "5", "--out", str(tmp_path / "r")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {named}\n"
+    assert not (tmp_path / "r").exists()
+
+
 def test_stoptime_with_an_oracle_stop_at_zero_is_an_assumption_violation(tmp_path, capsys):
     # noise far above ||y|| = 6: the best iterate of every replicate is the initial one
     rc = cli.main(["stoptime", "--n", "30", "--p", "60", "--s", "5", "--y-norm", "6",

@@ -52,6 +52,20 @@ def test_spec_validation(tmp_path):
         ExperimentSpec(name="x", out_dir=tmp_path, deltas=(-1.0,))
 
 
+def test_repeated_noise_levels_are_named(tmp_path):
+    with pytest.raises(ContractViolation, match=r"noise levels must be distinct; \[0\.6\] repeat"):
+        spec_for(tmp_path, "semiconv", deltas=(0.6, 0.6, 1.2), problem=TINY_SPARSE)
+    with pytest.raises(ContractViolation, match=r"\[0\.5, 2\.0\] repeat"):
+        spec_for(tmp_path, "bounds", deltas=(2.0, 0.5, 2.0, 0.5))
+
+
+def test_repeated_bound_epsilons_are_named_before_anything_runs(tmp_path):
+    spec = spec_for(tmp_path, "bounds", deltas=(0.5,), problem=TINY_SPARSE)
+    with pytest.raises(ContractViolation, match=r"epsilons must be distinct; \[0\.5\] repeat"):
+        run_bounds(spec, eps_list=(0.5, 0.25, 0.5))
+    assert not spec.out_dir.exists()
+
+
 @pytest.mark.parametrize("runner, problem", [
     (run_semiconv, TINY_SPARSE),
     (run_stoptime, TINY_SPARSE),

@@ -11,6 +11,7 @@ from iterreg import (
     identity,
     op_norm,
     stack,
+    tv_reformulate,
 )
 
 from conftest import power_norm
@@ -195,24 +196,17 @@ def test_stack_matches_columns():
     rng = np.random.default_rng(5)
     dense = DenseOperator(rng.standard_normal((5, 9)))
     mask = MaskOperator((3, 3), [(0, 0), (1, 2), (2, 1)])
-    for op in (dense, mask):
+    grad = Grad2D(3, 4)
+    observe = MaskOperator((3, 4), [(0, 0), (1, 2), (2, 3)])
+    lifted, _, _ = tv_reformulate(observe, observe.apply(np.arange(12.0)), 3, 4)
+    for op in (dense, mask, grad, lifted):
         W = rng.standard_normal((op.in_dim, 4))
         T = rng.standard_normal((op.out_dim, 4))
         for got, want in ((op.apply(W), [op.apply(W[:, b]) for b in range(4)]),
                           (op.adjoint(T), [op.adjoint(T[:, b]) for b in range(4)])):
             want = np.stack(want, axis=1)
-            if op is mask:  # elementwise: the same products
+            assert got.shape == want.shape
+            if op in (mask, grad):  # elementwise: the same products and differences
                 assert np.array_equal(got, want)
-            else:  # one matrix product against four matrix-vector products
+            else:  # matrix products against matrix-vector products
                 assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-
-
-@pytest.mark.parametrize("op", [
-    Grad2D(3, 4),
-    stack([[identity(12), None], [Grad2D(3, 4), DenseOperator(-np.eye(24))]]),
-])
-def test_grad_and_stacked_take_one_vector(op):
-    with pytest.raises(ContractViolation, match="one vector"):
-        op.apply(np.ones((op.in_dim, 2)))
-    with pytest.raises(ContractViolation, match="one vector"):
-        op.adjoint(np.ones((op.out_dim, 2)))

@@ -7,9 +7,9 @@ from iterreg import (
     CertificationFailure,
     ContractViolation,
     DenseOperator,
-    Grad2D,
     IterateLog,
     L1,
+    MaskOperator,
     Nuclear,
     NumericalFailure,
     PdState,
@@ -27,6 +27,7 @@ from iterreg import (
     run,
     step,
     subgradient_residual,
+    tv_reformulate,
 )
 from iterreg.metrics import BoundInputs, stability_feas_bound, stability_gap_bound, weighted_v
 from iterreg.pdsolver import LOG_COLUMNS, write_csv
@@ -358,7 +359,7 @@ def _relative_gap(got, want):
 
 @pytest.fixture(scope="module")
 def batched_cases(small_sql2, small_sql2_cert):
-    """(X, J, Y, cfg, reference) for an l1, a nuclear and a squared-l2 problem."""
+    """(X, J, Y, cfg, reference) for an l1, a nuclear, a squared-l2 and a lifted TV problem."""
     cases = []
     for prob, J, deltas in ((gen_sparse(seed=0), L1(), (0.5, 1.0, 2.0, 4.0)),
                             (gen_matcomp(seed=0), Nuclear(20, 20), (2.0, 4.0, 6.0))):
@@ -370,6 +371,15 @@ def batched_cases(small_sql2, small_sql2_cert):
     X, J, y = small_sql2
     Y = y[:, None] + 0.3 * np.random.default_rng(3).standard_normal((3, 3))
     cases.append((X, J, Y, make_config(X, max_iter=400, record_every=7), small_sql2_cert))
+    # lifted total variation: a stacked operator with Grad2D and a block bias
+    mask = MaskOperator((3, 4), [(0, 0), (0, 3), (1, 1), (1, 3), (2, 0), (2, 2), (2, 3)])
+    image = np.array([[1.0, 1, 0, 0], [1, 1, 0, 0], [2, 2, 2, 0]]).ravel()
+    X, J, y = tv_reformulate(mask, mask.apply(image), 3, 4)
+    cert = certify(X, J, y, cfg=make_config(X, max_iter=200_000), check_every=100)
+    noise = np.zeros((X.out_dim, 3))
+    noise[:12] = mask.gain[:, None] * np.random.default_rng(3).standard_normal((12, 3))
+    cases.append((X, J, y[:, None] + 0.3 * noise, make_config(X, max_iter=500, record_every=3),
+                  cert))
     return cases
 
 
@@ -389,11 +399,6 @@ class TestBatched:
         X, _, _ = tiny_bp
         st = initial_state(X, (4,))
         assert st.w.shape == (3, 4) and st.theta.shape == st.xw.shape == (2, 4)
-
-    def test_operator_taking_one_vector_rejects_stacked_data(self):
-        X = Grad2D(2, 2)
-        with pytest.raises(ContractViolation, match="one vector"):
-            next(iterate(X, L1(), np.zeros((X.out_dim, 2)), make_config(X)))
 
     def test_non_finite_column_is_named(self):
         X, J = identity(2), L1()
