@@ -47,6 +47,10 @@ def solve_tikhonov(X, J, y, lam, w_init=None, tol=1e-8, max_iter=20000):
     """
     if lam <= 0:
         raise ContractViolation(f"penalty must be positive, got {lam}")
+    if not tol > 0:  # NaN included
+        raise ContractViolation(f"tolerance must be positive, got {tol}")
+    if max_iter < 1:
+        raise ContractViolation(f"max_iter must be >= 1, got {max_iter}")
     y = np.asarray(y, dtype=float)
     nu = X.norm_est()
     step = 1.0 / (nu * nu)

@@ -342,9 +342,12 @@ def run_pathcmp(spec):
               "lasso_tol": 1e-4, "lasso_max_iter": 3000, "cp_iters": 1000}
     sizes = {"n": 400, "p": 800, "s": 120}
     _check_keys(spec.problem, params.keys() | _KEYS["sparse"], "pathcmp")
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
     for key, value in spec.problem.items():
         (params if key in params else sizes)[key] = value
+    if not 2 <= params["folds"] <= sizes["n"]:
+        raise ContractViolation(
+            f"folds must lie in [2, n] = [2, {sizes['n']}], got {params['folds']}")
+    spec.out_dir.mkdir(parents=True, exist_ok=True)
     prob, J = _problem("sparse", spec.seed, sizes)
     noisy = add_noise(prob, params["delta"], child_seed(spec.seed, 17))
     y_obs = noisy.y_delta
@@ -420,6 +423,8 @@ def run_tvdemo(spec):
     params = {"p1": 8, "p2": 8, "obs_frac": 0.6}
     _check_keys(spec.problem, params, "tv-demo")
     params.update(spec.problem)
+    if not 0.0 < params["obs_frac"] <= 1.0:
+        raise ContractViolation(f"obs_frac must lie in (0, 1], got {params['obs_frac']}")
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     p1, p2 = params["p1"], params["p2"]
     image = np.zeros((p1, p2))

@@ -2,7 +2,7 @@
 
 All quantities here are taken with respect to the clean data y; a
 :class:`~iterreg.pdsolver.SaddleCertificate` stands in for the exact saddle
-point wherever one is needed.
+point wherever one is needed, and then its ``y`` is the clean data.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ def raw_gap(jw, xw, theta, j_star, theta_star, y, r_star):
     return jw - j_star + theta_star @ (xw - y) - r_star @ theta
 
 
-def gap(w, theta, cert, X, J, y):
-    """Duality gap L(w, theta*) - L(w*, theta) against a certificate.
+def gap(w, theta, cert, X, J):
+    """Duality gap L(w, theta*) - L(w*, theta) against a certificate and its clean data.
 
     Tiny negative values (within 1e-10 * (1 + |L(w*, theta*)|), the inevitable
     footprint of a numerical certificate) are clamped to 0; anything more
@@ -60,9 +60,9 @@ def gap(w, theta, cert, X, J, y):
     """
     w = np.asarray(w, dtype=float)
     j_star = J(cert.w_star)
-    r_star = X.apply(cert.w_star) - y
+    r_star = X.apply(cert.w_star) - cert.y
     val = float(raw_gap(J(w), X.apply(w), np.asarray(theta, dtype=float), j_star,
-                        cert.theta_star, y, r_star))
+                        cert.theta_star, cert.y, r_star))
     if val >= 0.0:
         return val
     l_star = j_star + float(cert.theta_star @ r_star)
@@ -101,17 +101,17 @@ def bregman(J, w, w_ref, g_ref):
         f"Bregman divergence {val:.6e} negative beyond clamp; g_ref is not a subgradient")
 
 
-def gap_equals_bregman_check(w, cert, X, J, y, tol=1e-10):
+def gap_equals_bregman_check(w, cert, X, J, tol=1e-10):
     """Check that the theta-free gap equals the Bregman divergence at w.
 
-    The dual argument of the gap only contributes <theta, y - X w*> = 0, so it
-    is dropped; what remains must coincide with D_J(w, w*) taken at the
-    subgradient -X^T theta*.
+    The dual argument of the gap only contributes <theta, y - X w*> = 0 for
+    the certificate's clean data y, so it is dropped; what remains must
+    coincide with D_J(w, w*) taken at the subgradient -X^T theta*.
     """
     w = np.asarray(w, dtype=float)
-    lhs = J(w) + cert.theta_star @ (X.apply(w) - y) - J(cert.w_star)
-    g_ref = -X.adjoint(cert.theta_star)
-    rhs = _bregman(J(w), J(cert.w_star), w, cert.w_star, g_ref)
+    jw, j_star = J(w), J(cert.w_star)
+    lhs = jw + cert.theta_star @ (X.apply(w) - cert.y) - j_star
+    rhs = _bregman(jw, j_star, w, cert.w_star, -X.adjoint(cert.theta_star))
     return bool(abs(lhs - rhs) <= tol)
 
 
@@ -216,13 +216,11 @@ def norm_bound_data(X, cert):
                          xg_pinv_norm=float(1.0 / svals[-1]), x_norm=x_norm)
 
 
-def norm_bound(w, cert, bound_data, X, J, y):
-    """Norm-distance bound for l1: residual term plus weighted Bregman term."""
-    if not isinstance(J, L1):
-        raise ContractViolation("the norm bound applies to the l1 bias only")
-    w = np.asarray(w, dtype=float)
-    res = float(np.linalg.norm(X.apply(w) - y))
+def norm_bound(w, cert, bound_data, X):
+    """Norm-distance bound for l1: clean residual term plus weighted l1 Bregman term."""
+    w, l1 = np.asarray(w, dtype=float), L1()
+    res = float(np.linalg.norm(X.apply(w) - cert.y))
     g_ref = -X.adjoint(cert.theta_star)
-    d = max(float(_bregman(J(w), J(cert.w_star), w, cert.w_star, g_ref)), 0.0)
+    d = max(float(_bregman(l1(w), l1(cert.w_star), w, cert.w_star, g_ref)), 0.0)
     return (bound_data.xg_pinv_norm * res
             + (1.0 + bound_data.xg_pinv_norm * bound_data.x_norm) / (1.0 - bound_data.m) * d)

@@ -18,8 +18,8 @@ theta_1..theta_k that the rate and stability guarantees attach to, and
 computes only the log columns its caller asks for;
 ``certify`` drives the iteration on clean data until the pair, or the bias's
 polish of it, satisfies the saddle-point conditions (feasibility plus
-subgradient inclusion) at tight tolerances, producing the reference used by
-all gap and distance metrics.
+subgradient inclusion) at tight tolerances, producing the reference, and the
+clean data, that every clean residual, gap and distance metric reads.
 """
 
 from __future__ import annotations
@@ -179,11 +179,11 @@ class SaddleCertificate:
 
     ``w_star`` interpolates the clean data up to ``feas_res`` and
     ``-X^T theta_star`` is a subgradient of J at ``w_star`` up to
-    ``subgrad_res`` (measured as a prox fixed-point residual). The clean data
-    vector is kept so noisy runs can report distances and gaps against the
-    noiseless problem. ``k`` is the iteration whose check certified, and
-    ``polished`` says whether the pair is the bias's polish of that iterate
-    rather than the iterate itself.
+    ``subgrad_res`` (measured as a prox fixed-point residual). ``y`` is the
+    clean data, the one source from which runs and metrics take it for clean
+    residuals, distances and gaps. ``k`` is the iteration whose check
+    certified, and ``polished`` says whether the pair is the bias's polish of
+    that iterate rather than the iterate itself.
     """
 
     w_star: np.ndarray
@@ -264,7 +264,7 @@ class _Recorder:
     """
 
     def __init__(self, X, J, y_obs, cfg, reference, columns):
-        self.J, self.y_obs, self.y_clean = J, y_obs, y_obs
+        self.J, self.y_obs = J, y_obs
         self.ks = np.fromiter(recorded_iterations(cfg.record_every, cfg.max_iter), dtype=int)
         self.due = recorded_iterations(cfg.record_every, cfg.max_iter)
         self.next_k = next(self.due)
@@ -331,7 +331,7 @@ class _Recorder:
 
 def _log_columns(columns, reference):
     """The asked-for columns in ``LOG_COLUMNS`` order, None asking for all the reference allows."""
-    computable = LOG_COLUMNS[1:] if reference is not None else LOG_COLUMNS[1:4]
+    computable = LOG_COLUMNS[1:] if reference is not None else ("res_noisy", "j_val")
     if columns is None:
         return computable
     for name in columns:
@@ -349,9 +349,9 @@ def run(X, J, y_obs, cfg, reference=None, columns=None):
     k = 0, every ``cfg.record_every`` iterations, and the final iteration.
     ``columns`` names the columns computed besides ``k``, the others staying
     NaN; None asks for all that the arguments allow.
-    The distance, gap and Bregman columns need ``reference`` and are measured
-    against the certificate and the clean data it carries; the gap columns
-    store the plain Lagrangian difference without clamping. For an (n, B)
+    Every column but ``res_noisy`` and ``j_val`` needs ``reference``: it is
+    measured against the certificate and the clean data it carries. The gap
+    columns store the plain Lagrangian difference without clamping. For an (n, B)
     stack ``y_obs`` the B columns run as one batched iteration and the result
     is the list of their B logs, in column order.
     """

@@ -193,7 +193,7 @@ def test_criterion_6_norm_bound_dominance(sparse_instance):
             for _ in range(1000 // 3 + 1):
                 w = cert.w_star + scale * rng.standard_normal(prob.X.in_dim)
                 dist = float(np.linalg.norm(w - cert.w_star))
-                bound = norm_bound(w, cert, gd, prob.X, L1(), prob.y)
+                bound = norm_bound(w, cert, gd, prob.X)
                 worst_ratio = min(worst_ratio, bound * (1 + 1e-8) / dist)
                 checked += 1
     elapsed = time.monotonic() - t0
@@ -208,20 +208,20 @@ def test_criterion_7_gap_bregman_identity_and_nonnegativity(
         small_nuclear, small_nuclear_cert):
     t0 = time.monotonic()
     instances = [
-        ("l1", tiny_l1_problem.X, L1(), tiny_l1_problem.y, tiny_l1_cert),
-        ("sq_l2", small_sql2[0], small_sql2[1], small_sql2[2], small_sql2_cert),
-        ("nuclear", small_nuclear[0], small_nuclear[1], small_nuclear[2], small_nuclear_cert),
+        ("l1", tiny_l1_problem.X, L1(), tiny_l1_cert),
+        ("sq_l2", small_sql2[0], small_sql2[1], small_sql2_cert),
+        ("nuclear", small_nuclear[0], small_nuclear[1], small_nuclear_cert),
     ]
     id_failures = neg_failures = 0
     min_gap = np.inf
-    for tag, X, J, y, cert in instances:
+    for tag, X, J, cert in instances:
         rng = np.random.default_rng(7000)
         for _ in range(1000):
             w = rng.standard_normal(X.in_dim)
             theta = rng.standard_normal(X.out_dim)
-            if not gap_equals_bregman_check(w, cert, X, J, y, tol=1e-10):
+            if not gap_equals_bregman_check(w, cert, X, J, tol=1e-10):
                 id_failures += 1
-            g = gap(w, theta, cert, X, J, y)
+            g = gap(w, theta, cert, X, J)
             min_gap = min(min_gap, g)
             if g < -1e-10:
                 neg_failures += 1

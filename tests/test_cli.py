@@ -8,7 +8,7 @@ import pytest
 from iterreg import cli, gen_matcomp
 from iterreg.errors import AssumptionViolated, BoundViolation, CertificationFailure
 from iterreg.experiments import ExperimentSpec
-from iterreg.pdsolver import CSV_VERSION
+from iterreg.pdsolver import CSV_VERSION, IterateLog
 
 
 def run_cli(capsys, *argv):
@@ -40,6 +40,16 @@ def test_matcomp_problem_takes_y_norm(tmp_path, capsys):
     prob = gen_matcomp(d=4, r=1, obs_frac_denom=2, y_norm=5.0, seed=0)
     w = np.loadtxt(tmp_path / "c" / "cert_w.csv", delimiter=",")
     assert np.allclose(prob.X.apply(w), prob.y, atol=1e-6)
+
+
+def test_solve_log_holds_only_the_columns_that_need_no_certificate(tmp_path, capsys):
+    rc, _ = run_cli(capsys, "solve", "--delta", "1", "--max-iter", "20",
+                    "--out", str(tmp_path / "s"))
+    assert rc == 0
+    log = IterateLog.read_csv(tmp_path / "s" / "log.csv")
+    assert np.all(np.isnan(log.column("res_clean")))
+    assert np.all(np.isfinite(log.column("res_noisy")))
+    assert np.all(np.isfinite(log.column("j_val")))
 
 
 def test_solve_then_certify_loaded_problem(tmp_path, capsys):
@@ -139,6 +149,29 @@ def test_repeated_noise_level_or_bound_epsilon_is_an_error(tmp_path, capsys, arg
     assert rc == 1
     assert capsys.readouterr().err == f"error: {named}\n"
     assert not (tmp_path / "r").exists()
+
+
+_PATHCMP = ("pathcmp", "--n", "40", "--p", "80", "--s", "6", "--grid-count", "4",
+            "--cp-iters", "5")
+
+
+@pytest.mark.parametrize("argv, named", [
+    ((*_PATHCMP, "--folds", "0"), "folds must lie in [2, n] = [2, 40], got 0"),
+    ((*_PATHCMP, "--folds", "1"), "folds must lie in [2, n] = [2, 40], got 1"),
+    ((*_PATHCMP, "--folds", "50"), "folds must lie in [2, n] = [2, 40], got 50"),
+    ((*_PATHCMP, "--lasso-max-iter", "-1"), "max_iter must be >= 1, got -1"),
+    ((*_PATHCMP, "--lasso-max-iter", "0"), "max_iter must be >= 1, got 0"),
+    ((*_PATHCMP, "--lasso-tol", "-1"), "tolerance must be positive, got -1.0"),
+    ((*_PATHCMP, "--lasso-tol", "nan"), "tolerance must be positive, got nan"),
+    (("tv-demo", "--obs-frac", "2"), "obs_frac must lie in (0, 1], got 2.0"),
+    (("tv-demo", "--obs-frac", "-1"), "obs_frac must lie in (0, 1], got -1.0"),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
+def test_out_of_range_experiment_input_is_an_error(tmp_path, capsys, argv, named):
+    rc = cli.main([*argv, "--out", str(tmp_path / "r")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {named}\n"
+    # the penalty solver checks its own inputs, once the output directory is made
+    assert (tmp_path / "r").exists() == named.startswith(("max_iter", "tolerance"))
 
 
 def test_stoptime_with_an_oracle_stop_at_zero_is_an_assumption_violation(tmp_path, capsys):

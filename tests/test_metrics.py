@@ -50,25 +50,25 @@ class TestGap:
     def test_zero_at_certificate(self, tiny_bp, tiny_bp_cert):
         X, J, y = tiny_bp
         assert gap(tiny_bp_cert.w_star, tiny_bp_cert.theta_star,
-                   tiny_bp_cert, X, J, y) == pytest.approx(0.0, abs=1e-10)
+                   tiny_bp_cert, X, J) == pytest.approx(0.0, abs=1e-10)
 
     def test_zero_primal_vanishes_for_l1(self, tiny_bp, tiny_bp_cert):
         X, J, y = tiny_bp
         rng = np.random.default_rng(0)
         for _ in range(10):
             theta = rng.standard_normal(2)
-            assert gap(np.zeros(3), theta, tiny_bp_cert, X, J, y) <= 1e-9
+            assert gap(np.zeros(3), theta, tiny_bp_cert, X, J) <= 1e-9
 
     def test_positive_for_suboptimal_feasible_point(self, tiny_bp, tiny_bp_cert):
         X, J, y = tiny_bp
         w = np.array([1.0, 1.0, 0.0])  # feasible, l1 norm 2 > 1
-        assert gap(w, np.zeros(2), tiny_bp_cert, X, J, y) == pytest.approx(1.0, abs=1e-9)
+        assert gap(w, np.zeros(2), tiny_bp_cert, X, J) == pytest.approx(1.0, abs=1e-9)
 
     def test_invalid_certificate_raises(self, tiny_bp, tiny_bp_cert):
         X, J, y = tiny_bp
         broken = dataclasses.replace(tiny_bp_cert, w_star=np.array([5.0, 5.0, 5.0]))
         with pytest.raises(CertificateInvalid):
-            gap(tiny_bp_cert.w_star, np.zeros(2), broken, X, J, y)
+            gap(tiny_bp_cert.w_star, np.zeros(2), broken, X, J)
 
 
 class TestBregman:
@@ -93,18 +93,18 @@ class TestBregman:
 class TestGapBregmanIdentity:
     def test_at_reference(self, tiny_bp, tiny_bp_cert):
         X, J, y = tiny_bp
-        assert gap_equals_bregman_check(tiny_bp_cert.w_star, tiny_bp_cert, X, J, y)
+        assert gap_equals_bregman_check(tiny_bp_cert.w_star, tiny_bp_cert, X, J)
 
     def test_random_points(self, tiny_bp, tiny_bp_cert):
         X, J, y = tiny_bp
         rng = np.random.default_rng(1)
         for _ in range(100):
             w = rng.standard_normal(3) * 3.0
-            assert gap_equals_bregman_check(w, tiny_bp_cert, X, J, y, tol=1e-10)
+            assert gap_equals_bregman_check(w, tiny_bp_cert, X, J, tol=1e-10)
 
     def test_flipped_signs(self, tiny_bp, tiny_bp_cert):
         X, J, y = tiny_bp
-        assert gap_equals_bregman_check(-tiny_bp_cert.w_star, tiny_bp_cert, X, J, y)
+        assert gap_equals_bregman_check(-tiny_bp_cert.w_star, tiny_bp_cert, X, J)
 
 
 class TestWeightedV:
@@ -230,7 +230,7 @@ class TestNormBound:
     def test_bound_zero_at_reference(self, tiny_l1_problem, tiny_l1_cert):
         prob, cert = tiny_l1_problem, tiny_l1_cert
         gd = norm_bound_data(prob.X, cert)
-        val = norm_bound(cert.w_star, cert, gd, prob.X, L1(), prob.y)
+        val = norm_bound(cert.w_star, cert, gd, prob.X)
         assert val <= 1e-9
 
     def test_bound_dominates_distance(self, tiny_l1_problem, tiny_l1_cert):
@@ -240,7 +240,7 @@ class TestNormBound:
         for scale in (1e-3, 1e-1, 1.0):
             for _ in range(50):
                 w = cert.w_star + scale * rng.standard_normal(prob.X.in_dim)
-                bound = norm_bound(w, cert, gd, prob.X, L1(), prob.y)
+                bound = norm_bound(w, cert, gd, prob.X)
                 assert np.linalg.norm(w - cert.w_star) <= bound * (1 + 1e-8)
 
     def test_feasible_point_leaves_bregman_term(self, tiny_bp, tiny_bp_cert):
@@ -250,7 +250,7 @@ class TestNormBound:
         g_ref = -X.adjoint(tiny_bp_cert.theta_star)
         breg = J(w) - J(tiny_bp_cert.w_star) - g_ref @ (w - tiny_bp_cert.w_star)
         expected = (1 + gd.xg_pinv_norm * gd.x_norm) / (1 - gd.m) * breg
-        assert norm_bound(w, tiny_bp_cert, gd, X, J, y) == pytest.approx(
+        assert norm_bound(w, tiny_bp_cert, gd, X) == pytest.approx(
             expected, rel=1e-6)
 
     @pytest.mark.parametrize("seed, kwargs, tols", [
@@ -274,13 +274,7 @@ class TestNormBound:
                 d = max(float(J(w) - J(cert.w_star) - g_ref @ (w - cert.w_star)), 0.0)
                 want = (gd.xg_pinv_norm * res
                         + (1.0 + gd.xg_pinv_norm * gd.x_norm) / (1.0 - gd.m) * d)
-                assert norm_bound(w, cert, gd, X, J, y) == want
-
-    def test_l1_only(self, tiny_bp, tiny_bp_cert):
-        X, J, y = tiny_bp
-        gd = norm_bound_data(X, tiny_bp_cert)
-        with pytest.raises(ContractViolation):
-            norm_bound(np.zeros(3), tiny_bp_cert, gd, X, SqL2(), y)
+                assert norm_bound(w, cert, gd, X) == want
 
 
 def test_strongly_convex_gap_controls_residual():
@@ -307,7 +301,7 @@ def test_log_gap_columns_match_gap_and_bregman(small_sql2, small_sql2_cert):
     log = run(X, J, y, cfg, reference=cert)
     g_ref = -X.adjoint(cert.theta_star)
     for st, raw_g, raw_b in zip(states, log.column("gap"), log.column("bregman")):
-        assert max(raw_g, 0.0) == pytest.approx(gap(st.w, st.theta, cert, X, J, y),
+        assert max(raw_g, 0.0) == pytest.approx(gap(st.w, st.theta, cert, X, J),
                                                 rel=1e-9, abs=1e-12)
         assert max(raw_b, 0.0) == pytest.approx(bregman(J, st.w, cert.w_star, g_ref),
                                                 rel=1e-9, abs=1e-12)

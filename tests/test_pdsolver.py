@@ -226,7 +226,7 @@ class TestRun:
         X, J, y = tiny_bp
         cfg = make_config(X, max_iter=100_000, record_every=1000)
         log = run(X, J, y, cfg)
-        assert log.column("res_clean")[-1] <= 1e-8
+        assert log.column("res_noisy")[-1] <= 1e-8
         w_oracle, obj = bp_oracle(X.matrix, y)
         assert np.allclose(w_oracle, [0.0, 0.0, 1.0])
         assert log.column("j_val")[-1] == pytest.approx(obj, abs=1e-6)
@@ -448,7 +448,8 @@ class TestColumns:
         cfg = make_config(X, max_iter=3)
         with pytest.raises(ContractViolation, match="unknown log column 'dist'"):
             run(X, J, y, cfg, reference=tiny_bp_cert, columns=("dist_ref", "dist"))
-        for c in ("dist_ref", "gap", "bregman", "res_avg_clean", "dist_avg_ref", "gap_avg"):
+        for c in ("res_clean", "dist_ref", "gap", "bregman", "res_avg_clean", "dist_avg_ref",
+                  "gap_avg"):
             with pytest.raises(ContractViolation, match="needs a reference"):
                 run(X, J, y, cfg, columns=("res_noisy", c))
         log = run(X, J, y, cfg, columns=("res_noisy",))
