@@ -21,7 +21,7 @@ from .bias import L1, Nuclear
 from .errors import AssumptionViolated, BoundViolation, ContractViolation
 from .linop import DenseOperator, Grad2D, MaskOperator, norms
 from .metrics import BoundInputs, stability_feas_bound, stability_gap_bound, weighted_v
-from .pdsolver import certify, iterate, make_config, recorded_iterations, run, write_csv
+from .pdsolver import certify, iterate, make_config, recorded, recorded_iterations, run, write_csv
 from .problems import add_noise, gen_matcomp, gen_sparse, load_problem, save_problem, tv_reformulate
 from .stopping import oracle_stop
 from .svgplot import line_chart
@@ -270,12 +270,8 @@ def _oracle_stops(X, J, Y, cfg, w_star):
     best_k = np.zeros(Y.shape[1], dtype=int)
     best_d = np.full(Y.shape[1], np.inf)
     w_star = w_star[:, None]
-    due = recorded_iterations(cfg.record_every, cfg.max_iter)
-    next_k = next(due)
-    for state in iterate(X, J, Y, cfg):
-        if state.k != next_k:
-            continue
-        next_k = next(due, None)
+    ks = recorded_iterations(cfg.record_every, cfg.max_iter)
+    for state in recorded(iterate(X, J, Y, cfg), ks):
         d = norms(state.w - w_star)
         better = d < best_d
         best_k[better] = state.k

@@ -9,14 +9,15 @@ with w_0 = 0 and theta_0 = theta_{-1} = 0, and step sizes
 constrained by sigma * tau * ||X||^2 <= epsilon < 1.
 
 ``iterate`` yields the states k = 0..max_iter and is the one loop over
-``step``. ``y_obs`` is one data vector or an (n, B) stack of B right-hand
-sides; a stack runs as the B columns of one iteration, w and theta becoming
-(p, B) and (n, B) arrays, and every update acts column by column. ``run``
-records per-iteration diagnostics into an :class:`IterateLog` (one per
-column of a stack), including the averages over w_1..w_k and
+``step``; ``recorded`` is the one walk over them, yielding the states at the
+k of ``recorded_iterations`` that ``run`` records, ``certify`` checks and the
+stoptime oracle reads. ``y_obs`` is one data vector or an (n, B) stack of B
+right-hand sides; a stack runs as the B columns of one iteration, w and theta
+becoming (p, B) and (n, B) arrays, and every update acts column by column.
+``run`` records per-iteration diagnostics into an :class:`IterateLog` (one
+per column of a stack), including the averages over w_1..w_k and
 theta_1..theta_k that the rate and stability guarantees attach to, and
-computes only the log columns its caller asks for;
-``certify`` drives the iteration on clean data until the pair, or the bias's
+computes only the log columns its caller asks for; ``certify`` drives the iteration on clean data until the pair, or the bias's
 polish of it, satisfies the saddle-point conditions (feasibility plus
 subgradient inclusion) at tight tolerances, producing the reference, and the
 clean data, that every clean residual, gap and distance metric reads.
@@ -148,9 +149,20 @@ def _non_finite(w, theta, k):
 
 
 def recorded_iterations(every, budget):
-    """Yield the iterations a run records, in order: k = 0, every ``every``-th, and ``budget``."""
-    yield from range(0, budget, every)
-    yield budget
+    """The int array of the iterations a run records: 0, every ``every``-th (>= 1) and ``budget``."""
+    if every < 1:
+        raise ContractViolation(f"the stride of recorded iterations must be >= 1, got {every}")
+    return np.append(np.arange(0, budget, every), budget)
+
+
+def recorded(states, ks):
+    """Yield the states of ``states`` whose k is next in ``ks``, an increasing int array."""
+    states = iter(states)
+    for k in ks.tolist():
+        for state in states:
+            if state.k == k:
+                yield state
+                break
 
 
 def iterate(X, J, y_obs, cfg):
@@ -260,17 +272,14 @@ class _Recorder:
     the gap and bregman columns are raw values of
     :func:`~iterreg.metrics.raw_gap`. It computes only what its columns read:
     J(w), J of the averaged w, J(w*), and the running sums of w, theta and X w
-    over k >= 1; ``add`` must see every state.
+    over k >= 1, which :meth:`summed` keeps from every state.
     """
 
     def __init__(self, X, J, y_obs, cfg, reference, columns):
         self.J, self.y_obs = J, y_obs
-        self.ks = np.fromiter(recorded_iterations(cfg.record_every, cfg.max_iter), dtype=int)
-        self.due = recorded_iterations(cfg.record_every, cfg.max_iter)
-        self.next_k = next(self.due)
+        self.ks = recorded_iterations(cfg.record_every, cfg.max_iter)
         batch = y_obs.shape[1:]
         self.values = {c: np.full((len(self.ks), *batch), np.nan) for c in columns}
-        self.row = 0
         asked = set(columns)
         self.needs_jw = not asked.isdisjoint(("j_val", "gap", "bregman"))
         readers = {"w": (X.in_dim, "dist_avg_ref", "gap_avg"), "theta": (X.out_dim, "gap_avg"),
@@ -287,19 +296,18 @@ class _Recorder:
                 self.j_star = J(reference.w_star)
                 self.r_star = X.apply(reference.w_star) - reference.y
 
-    def add(self, state):
-        if state.k > 0:
-            for name, total in self.sums.items():
-                total += getattr(state, name)
-        if state.k == self.next_k:
-            self._record(state)
-            self.row += 1
-            self.next_k = next(self.due, None)
+    def summed(self, states):
+        """Yield ``states``, each added to the running sums once k >= 1."""
+        for state in states:
+            if state.k > 0:
+                for name, total in self.sums.items():
+                    total += getattr(state, name)
+            yield state
 
     def _gap(self, jw, xw, theta):
         return raw_gap(jw, xw, theta, self.j_star, self.theta_star, self.y_clean, self.r_star)
 
-    def _record(self, state):
+    def record(self, row, state):
         w, theta, xw, k = state.w, state.theta, state.xw, state.k
         # at k = 0 the averages are the initial point itself
         avg = {name: getattr(state, name) if k == 0 else total / k
@@ -317,7 +325,7 @@ class _Recorder:
             "gap_avg": lambda: self._gap(self.J(avg["w"]), avg["xw"], avg["theta"]),
         }
         for name, out in self.values.items():
-            out[self.row] = formulas[name]()
+            out[row] = formulas[name]()
 
     def logs(self):
         """One log for a vector; for a stack, the list of the logs of its columns."""
@@ -358,8 +366,8 @@ def run(X, J, y_obs, cfg, reference=None, columns=None):
     columns = _log_columns(columns, reference)
     y_obs = as_vector(y_obs, X.out_dim, "y_obs", columns=True)
     rec = _Recorder(X, J, y_obs, cfg, reference, columns)
-    for state in iterate(X, J, y_obs, cfg):
-        rec.add(state)
+    for row, state in enumerate(recorded(rec.summed(iterate(X, J, y_obs, cfg)), rec.ks)):
+        rec.record(row, state)
     return rec.logs()
 
 
@@ -367,7 +375,7 @@ def certify(X, J, y, cfg=None, feas_tol=None, subgrad_tol=1e-6, check_every=50):
     """Run on clean data until the saddle conditions hold; return the pair.
 
     The conditions are checked at the :func:`recorded_iterations` of stride
-    ``check_every`` but k = 0, the last being ``cfg.max_iter``. When the
+    ``check_every``, at least 1, but k = 0, the last being ``cfg.max_iter``. When the
     iterate fails them, the check also tries the bias's polish of the pair
     (:meth:`~iterreg.bias.Bias.polish`), accepted under the same tolerances. Defaults: feas_tol = 1e-9 * max(1, ||y||),
     subgrad_tol = 1e-6. Raises :class:`CertificationFailure` with the best
@@ -379,10 +387,11 @@ def certify(X, J, y, cfg=None, feas_tol=None, subgrad_tol=1e-6, check_every=50):
     y = as_vector(y, X.out_dim, "y")
     if cfg is None:
         cfg = make_config(X, max_iter=500_000)
+    checks = recorded_iterations(check_every, cfg.max_iter)[1:]  # k = 0 is not checked
     if feas_tol is None:
         feas_tol = 1e-9 * max(1.0, float(np.linalg.norm(y)))
     # every check's residuals, in compact arrays: a certification can make thousands
-    checked, feas_hist, sub_hist = array("q"), array("d"), array("d")
+    feas_hist, sub_hist = array("d"), array("d")
 
     def residuals(w, xw, theta):
         return norms(xw - y), subgradient_residual(J, w, -X.adjoint(theta))
@@ -390,15 +399,8 @@ def certify(X, J, y, cfg=None, feas_tol=None, subgrad_tol=1e-6, check_every=50):
     def passes(feas, sub):
         return feas <= feas_tol and sub <= subgrad_tol
 
-    checks = recorded_iterations(check_every, cfg.max_iter)
-    next(checks)  # k = 0 is not checked
-    due = next(checks, None)
-    for state in iterate(X, J, y, cfg):
-        if state.k != due:
-            continue
-        due = next(checks, None)
+    for state in recorded(iterate(X, J, y, cfg), checks):
         feas, sub = residuals(state.w, state.xw, state.theta)
-        checked.append(state.k)
         feas_hist.append(feas)
         sub_hist.append(sub)
         pair, polished = (state.w, state.theta), False
@@ -411,7 +413,7 @@ def certify(X, J, y, cfg=None, feas_tol=None, subgrad_tol=1e-6, check_every=50):
             return SaddleCertificate(
                 w_star=pair[0].copy(), theta_star=pair[1].copy(), feas_res=feas,
                 subgrad_res=sub, y=y.copy(), polished=polished, k=state.k)
-    history = list(zip(checked, feas_hist, sub_hist))
+    history = list(zip(checks.tolist(), feas_hist, sub_hist))  # every check failed
     none = (None, np.inf, np.inf)
     feas_k, best_feas, _ = min(history, key=lambda h: h[1], default=none)
     sub_k, _, best_sub = min(history, key=lambda h: h[2], default=none)
