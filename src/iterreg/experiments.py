@@ -288,6 +288,9 @@ def run_bounds(spec, eps_list=None):
     """
     eps_list = (0.25, 0.5, 0.9) if eps_list is None else tuple(eps_list)
     _check_distinct(eps_list, "bound epsilons")
+    if spec.max_iter is not None and spec.max_iter < 1:
+        raise ContractViolation(f"the bounds hold for k >= 1, so the budget must be >= 1, "
+                                f"got {spec.max_iter}")
     spec, X, J, cert, Y, labels = _noisy_sweep(spec, "sparse", (0.0,))
     violations = 0
     worst_gap_ratio = worst_feas_ratio = -np.inf
@@ -317,9 +320,10 @@ def run_bounds(spec, eps_list=None):
                       zip(k.tolist(), gap_meas.tolist(), gb.tolist(), feas_sq.tolist(),
                           fb.tolist(), gap_ok.astype(int).tolist(),
                           feas_ok.astype(int).tolist()))
+    # a worst ratio is null when no bound was positive
     summary = {"violations": violations,
-               "worst_gap_ratio": float(worst_gap_ratio),
-               "worst_feas_ratio": float(worst_feas_ratio)}
+               "worst_gap_ratio": None if worst_gap_ratio == -np.inf else float(worst_gap_ratio),
+               "worst_feas_ratio": None if worst_feas_ratio == -np.inf else float(worst_feas_ratio)}
     (spec.out_dir / "bounds_summary.json").write_text(json.dumps(summary, indent=2))
     if violations:
         raise BoundViolation(
@@ -419,10 +423,12 @@ def run_tvdemo(spec):
     params = {"p1": 8, "p2": 8, "obs_frac": 0.6}
     _check_keys(spec.problem, params, "tv-demo")
     params.update(spec.problem)
+    p1, p2 = params["p1"], params["p2"]
+    if not all(isinstance(v, (int, np.integer)) and v >= 1 for v in (p1, p2)):
+        raise ContractViolation(f"p1 and p2 must be positive integers, got {p1} and {p2}")
     if not 0.0 < params["obs_frac"] <= 1.0:
         raise ContractViolation(f"obs_frac must lie in (0, 1], got {params['obs_frac']}")
     spec.out_dir.mkdir(parents=True, exist_ok=True)
-    p1, p2 = params["p1"], params["p2"]
     image = np.zeros((p1, p2))
     image[: p1 // 2, : p2 // 2] = 1.0
     image[p1 // 2:, p2 // 2:] = 2.0
@@ -451,11 +457,13 @@ def run_tvdemo(spec):
 
 
 def run_solve(spec):
-    """Plain solve of a generated or loaded problem; writes the iterate log."""
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
+    """Plain solve of a generated or loaded problem at most one noise level; writes the log."""
+    if len(spec.deltas) > 1:
+        raise ContractViolation(f"solve takes at most one noise level, got {list(spec.deltas)}")
     prob, J = _problem_for_cli(spec)
     if spec.deltas:
         prob = add_noise(prob, spec.deltas[0], child_seed(spec.seed, 41))
+    spec.out_dir.mkdir(parents=True, exist_ok=True)
     log = run(prob.X, J, prob.y_delta, _config(prob.X, spec))
     log.write_csv(spec.out_dir / "log.csv")
     save_problem(prob, spec.out_dir / "problem")
@@ -465,8 +473,8 @@ def run_solve(spec):
 
 def run_certify(spec):
     """Certify the clean problem; write the pair, its residuals, k and whether it was polished."""
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
     prob, J = _problem_for_cli(spec)
+    spec.out_dir.mkdir(parents=True, exist_ok=True)
     cert = _clean_certificate(prob, J, spec.max_iter)
     np.savetxt(spec.out_dir / "cert_w.csv", cert.w_star, delimiter=",")
     np.savetxt(spec.out_dir / "cert_theta.csv", cert.theta_star, delimiter=",")

@@ -169,19 +169,25 @@ def save_problem(prob, out_dir):
 
 
 def load_problem(in_dir):
-    """Inverse of :func:`save_problem`."""
+    """Inverse of :func:`save_problem`; a missing file but the ground truth is a ContractViolation."""
     src = Path(in_dir)
-    meta = json.loads((src / "meta.json").read_text())
+
+    def saved(name):
+        if not (src / name).is_file():
+            raise ContractViolation(f"problem directory {src} has no {name}")
+        return src / name
+
+    meta = json.loads(saved("meta.json").read_text())
     if meta["operator"] == "dense":
-        X = DenseOperator(np.loadtxt(src / "X.csv", delimiter=",", ndmin=2))
+        X = DenseOperator(np.loadtxt(saved("X.csv"), delimiter=",", ndmin=2))
     elif meta["operator"] == "mask":
-        pairs = np.loadtxt(src / "mask.csv", delimiter=",", ndmin=2, dtype=int)
+        pairs = np.loadtxt(saved("mask.csv"), delimiter=",", ndmin=2, dtype=int)
         X = MaskOperator(tuple(meta["grid"]), [tuple(p) for p in pairs])
     else:
         raise ContractViolation(f"unknown operator kind {meta['operator']!r}")
     gt_path = src / "ground_truth.csv"
-    return NoisyProblem(X=X, y=_load_vector(src / "y.csv", X.out_dim),
-                        y_delta=_load_vector(src / "y_delta.csv", X.out_dim),
+    return NoisyProblem(X=X, y=_load_vector(saved("y.csv"), X.out_dim),
+                        y_delta=_load_vector(saved("y_delta.csv"), X.out_dim),
                         delta=float(meta["delta"]),
                         ground_truth=_load_vector(gt_path, X.in_dim) if gt_path.exists() else None,
                         seed=int(meta["seed"]), kind=meta["kind"], params=meta["params"])

@@ -165,6 +165,10 @@ _PATHCMP = ("pathcmp", "--n", "40", "--p", "80", "--s", "6", "--grid-count", "4"
     ((*_PATHCMP, "--lasso-tol", "nan"), "tolerance must be positive, got nan"),
     (("tv-demo", "--obs-frac", "2"), "obs_frac must lie in (0, 1], got 2.0"),
     (("tv-demo", "--obs-frac", "-1"), "obs_frac must lie in (0, 1], got -1.0"),
+    (("tv-demo", "--p1", "0"), "p1 and p2 must be positive integers, got 0 and 8"),
+    (("tv-demo", "--p1", "-2"), "p1 and p2 must be positive integers, got -2 and 8"),
+    (("bounds", "--n", "30", "--p", "60", "--s", "5", "--max-iter", "0", "--delta", "0.5",
+      "--replicates", "1"), "the bounds hold for k >= 1, so the budget must be >= 1, got 0"),
 ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
 def test_out_of_range_experiment_input_is_an_error(tmp_path, capsys, argv, named):
     rc = cli.main([*argv, "--out", str(tmp_path / "r")])
@@ -172,6 +176,33 @@ def test_out_of_range_experiment_input_is_an_error(tmp_path, capsys, argv, named
     assert capsys.readouterr().err == f"error: {named}\n"
     # the penalty solver checks its own inputs, once the output directory is made
     assert (tmp_path / "r").exists() == named.startswith(("max_iter", "tolerance"))
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("solve", "--load", "nowhere"), "problem directory nowhere has no meta.json"),
+    (("certify", "--load", "nowhere"), "problem directory nowhere has no meta.json"),
+    (("solve", "--problem", "matcomp", "--n", "10"), "a matcomp problem takes no parameters ['n']"),
+    (("certify", "--problem", "matcomp", "--n", "10"),
+     "a matcomp problem takes no parameters ['n']"),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
+def test_solve_or_certify_input_error_leaves_no_directory(tmp_path, capsys, monkeypatch,
+                                                          argv, named):
+    monkeypatch.chdir(tmp_path)
+    rc = cli.main([*argv, "--out", str(tmp_path / "r")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {named}\n"
+    assert not (tmp_path / "r").exists()
+
+
+def test_bounds_worst_ratio_is_null_when_no_bound_is_positive(tmp_path, capsys):
+    # clean data of norm 0 at noise 0: every bound is 0
+    rc, out = run_cli(capsys, "bounds", "--n", "30", "--p", "60", "--s", "5", "--y-norm", "0",
+                      "--delta", "0", "--replicates", "1", "--max-iter", "50",
+                      "--out", str(tmp_path / "b"))
+    assert rc == 0
+    expected = {"violations": 0, "worst_gap_ratio": None, "worst_feas_ratio": None}
+    assert json.loads(out) == expected
+    assert json.loads((tmp_path / "b" / "bounds_summary.json").read_text()) == expected
 
 
 def test_stoptime_with_an_oracle_stop_at_zero_is_an_assumption_violation(tmp_path, capsys):

@@ -246,6 +246,13 @@ def test_solve_and_load_round_trip(tmp_path):
     assert summary2["iterations"] == 80
 
 
+def test_solve_takes_at_most_one_noise_level(tmp_path):
+    spec = spec_for(tmp_path, "solve", deltas=(0.5, 3.0), problem=TINY_SPARSE)
+    with pytest.raises(ContractViolation, match=r"at most one noise level, got \[0\.5, 3\.0\]"):
+        run_solve(spec)
+    assert not spec.out_dir.exists()
+
+
 def test_certify_outputs(tmp_path):
     spec = spec_for(tmp_path, "certify", max_iter=400_000,
                     problem={"kind": "sparse", "n": 10, "p": 25, "s": 3, "y_norm": 5.0})

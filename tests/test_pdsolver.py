@@ -30,7 +30,8 @@ from iterreg import (
     tv_reformulate,
 )
 from iterreg.metrics import BoundInputs, stability_feas_bound, stability_gap_bound, weighted_v
-from iterreg.pdsolver import LOG_COLUMNS, write_csv
+from iterreg import pdsolver
+from iterreg.pdsolver import LOG_COLUMNS, recorded, recorded_iterations, write_csv
 
 from conftest import bp_oracle, power_norm
 
@@ -206,6 +207,41 @@ class TestIterate:
             for got, want in ((st.w, w), (st.theta, theta), (st.theta_prev, theta_prev)):
                 assert got.shape == want.shape and np.array_equal(got, want), st.k
         assert st.k == 50
+
+
+class TestRecordedWalk:
+    def test_recorded_iterations_is_an_int_array_ending_at_the_budget(self):
+        assert recorded_iterations(3, 10).tolist() == [0, 3, 6, 9, 10]
+        assert recorded_iterations(5, 10).tolist() == [0, 5, 10]
+        assert recorded_iterations(4, 0).tolist() == [0]
+        assert recorded_iterations(1, 3).dtype.kind == "i"
+
+    @pytest.mark.parametrize("every", [0, -5])
+    def test_stride_below_one_is_named(self, every):
+        with pytest.raises(ContractViolation, match=f"must be >= 1, got {every}$"):
+            recorded_iterations(every, 10)
+
+    def test_recorded_yields_the_states_at_the_given_k(self, tiny_bp):
+        X, J, y = tiny_bp
+        cfg = make_config(X, max_iter=12)
+        states = list(iterate(X, J, y, cfg))
+        picked = list(recorded(iter(states), recorded_iterations(5, 12)))
+        assert [st.k for st in picked] == [0, 5, 10, 12]
+        assert all(st is states[st.k] for st in picked)
+        assert [st.k for st in recorded(states, np.array([3, 4]))] == [3, 4]
+        assert list(recorded(states, np.array([], dtype=int))) == []
+
+    @pytest.mark.parametrize("every", [0, -5])
+    def test_certify_rejects_a_stride_below_one_before_the_first_iteration(
+            self, tiny_bp, monkeypatch, every):
+        X, J, y = tiny_bp
+
+        def no_step(*args):
+            raise AssertionError("certify iterated")
+
+        monkeypatch.setattr(pdsolver, "step", no_step)
+        with pytest.raises(ContractViolation, match=f"stride .* must be >= 1, got {every}$"):
+            certify(X, J, y, check_every=every)
 
 
 class TestRun:
