@@ -457,7 +457,7 @@ def run_tvdemo(spec):
 
 
 def run_solve(spec):
-    """Plain solve of a generated or loaded problem at most one noise level; writes the log."""
+    """Plain solve of a generated or loaded problem, noisy at one level at most; writes the log."""
     if len(spec.deltas) > 1:
         raise ContractViolation(f"solve takes at most one noise level, got {list(spec.deltas)}")
     prob, J = _problem_for_cli(spec)

@@ -17,10 +17,11 @@ becoming (p, B) and (n, B) arrays, and every update acts column by column.
 ``run`` records per-iteration diagnostics into an :class:`IterateLog` (one
 per column of a stack), including the averages over w_1..w_k and
 theta_1..theta_k that the rate and stability guarantees attach to, and
-computes only the log columns its caller asks for; ``certify`` drives the iteration on clean data until the pair, or the bias's
-polish of it, satisfies the saddle-point conditions (feasibility plus
-subgradient inclusion) at tight tolerances, producing the reference, and the
-clean data, that every clean residual, gap and distance metric reads.
+computes only the log columns its caller asks for; ``certify`` drives the
+iteration on clean data until the pair, or the bias's polish of it, satisfies
+the saddle-point conditions (feasibility plus subgradient inclusion) at tight
+tolerances, producing the reference, and the clean data, that every clean
+residual, gap and distance metric reads.
 """
 
 from __future__ import annotations
@@ -149,9 +150,10 @@ def _non_finite(w, theta, k):
 
 
 def recorded_iterations(every, budget):
-    """The int array of the iterations a run records: 0, every ``every``-th (>= 1) and ``budget``."""
-    if every < 1:
-        raise ContractViolation(f"the stride of recorded iterations must be >= 1, got {every}")
+    """The int array of the iterations a run records: 0, every ``every``-th and ``budget``."""
+    if not (isinstance(every, (int, np.integer)) and every >= 1):
+        raise ContractViolation(f"the stride of recorded iterations must be an integer >= 1, "
+                                f"got {every}")
     return np.append(np.arange(0, budget, every), budget)
 
 
@@ -375,7 +377,7 @@ def certify(X, J, y, cfg=None, feas_tol=None, subgrad_tol=1e-6, check_every=50):
     """Run on clean data until the saddle conditions hold; return the pair.
 
     The conditions are checked at the :func:`recorded_iterations` of stride
-    ``check_every``, at least 1, but k = 0, the last being ``cfg.max_iter``. When the
+    ``check_every``, an integer >= 1, but k = 0, the last being ``cfg.max_iter``. When the
     iterate fails them, the check also tries the bias's polish of the pair
     (:meth:`~iterreg.bias.Bias.polish`), accepted under the same tolerances. Defaults: feas_tol = 1e-9 * max(1, ||y||),
     subgrad_tol = 1e-6. Raises :class:`CertificationFailure` with the best

@@ -181,7 +181,8 @@ def test_out_of_range_experiment_input_is_an_error(tmp_path, capsys, argv, named
 @pytest.mark.parametrize("argv, named", [
     (("solve", "--load", "nowhere"), "problem directory nowhere has no meta.json"),
     (("certify", "--load", "nowhere"), "problem directory nowhere has no meta.json"),
-    (("solve", "--problem", "matcomp", "--n", "10"), "a matcomp problem takes no parameters ['n']"),
+    (("solve", "--problem", "matcomp", "--n", "10"),
+     "a matcomp problem takes no parameters ['n']"),
     (("certify", "--problem", "matcomp", "--n", "10"),
      "a matcomp problem takes no parameters ['n']"),
 ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)

@@ -216,11 +216,6 @@ class TestRecordedWalk:
         assert recorded_iterations(4, 0).tolist() == [0]
         assert recorded_iterations(1, 3).dtype.kind == "i"
 
-    @pytest.mark.parametrize("every", [0, -5])
-    def test_stride_below_one_is_named(self, every):
-        with pytest.raises(ContractViolation, match=f"must be >= 1, got {every}$"):
-            recorded_iterations(every, 10)
-
     def test_recorded_yields_the_states_at_the_given_k(self, tiny_bp):
         X, J, y = tiny_bp
         cfg = make_config(X, max_iter=12)
@@ -231,8 +226,8 @@ class TestRecordedWalk:
         assert [st.k for st in recorded(states, np.array([3, 4]))] == [3, 4]
         assert list(recorded(states, np.array([], dtype=int))) == []
 
-    @pytest.mark.parametrize("every", [0, -5])
-    def test_certify_rejects_a_stride_below_one_before_the_first_iteration(
+    @pytest.mark.parametrize("every", [0, -5, 2.5])
+    def test_certify_rejects_a_stride_that_is_not_a_positive_integer_before_iterating(
             self, tiny_bp, monkeypatch, every):
         X, J, y = tiny_bp
 
@@ -240,7 +235,7 @@ class TestRecordedWalk:
             raise AssertionError("certify iterated")
 
         monkeypatch.setattr(pdsolver, "step", no_step)
-        with pytest.raises(ContractViolation, match=f"stride .* must be >= 1, got {every}$"):
+        with pytest.raises(ContractViolation, match=f"stride .* integer >= 1, got {every}$"):
             certify(X, J, y, check_every=every)
 
 
