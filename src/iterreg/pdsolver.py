@@ -152,8 +152,7 @@ def _non_finite(w, theta, k):
 def recorded_iterations(every, budget):
     """The int array of the iterations a run records: 0, every ``every``-th and ``budget``."""
     if not (isinstance(every, (int, np.integer)) and every >= 1):
-        raise ContractViolation(f"the stride of recorded iterations must be an integer >= 1, "
-                                f"got {every}")
+        raise ContractViolation(f"the recording stride must be an integer >= 1, got {every}")
     return np.append(np.arange(0, budget, every), budget)
 
 
