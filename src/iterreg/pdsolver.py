@@ -159,7 +159,7 @@ def recorded_iterations(every, budget):
 def recorded(states, ks):
     """Yield the states of ``states`` whose k is next in ``ks``, an increasing int array."""
     states = iter(states)
-    for k in ks.tolist():
+    for k in map(int, ks):  # lazily: a certification's budget can hold 10^4 checks
         for state in states:
             if state.k == k:
                 yield state
