@@ -4,12 +4,13 @@
     python3 scripts/compare_outputs.py A B
 
 For each file present in either tree it prints one line: ``identical`` when
-the bytes match, otherwise the largest deviation of each numeric column that
-differs, relative to the largest magnitude of that column in either tree.
-Columns are the header columns of a schema-v1 CSV, the columns of a headerless
-numeric CSV (as written by ``numpy.savetxt``), and the leaves of a JSON file,
-a list of numbers counting as one column. Other files that differ (SVG plots,
-captured text) are only reported.
+the bytes match, otherwise what fails to agree and the largest float deviation
+of the file with the column it lies in, relative to the largest magnitude of
+that column in either tree. Columns are the header columns of a schema-v1
+CSV, the columns of a headerless numeric CSV (as written by
+``numpy.savetxt``), and the leaves of a JSON file, a list of numbers counting
+as one column. Other files that differ (SVG plots, captured text) are only
+reported.
 
 The exit code is 1 when an integer column differs (``k_star``, interior
 flags, violation counts, exit codes; JSON booleans count as integers), or
@@ -132,23 +133,25 @@ def compare_trees(root_a, root_b):
         if ca is None or cb is None:
             print(f"{rel}: differs (not compared by column)")
             continue
+        problems, file_worst, worst_name = [], 0.0, None
         if set(ca) != set(cb):
-            print(f"{rel}: columns {sorted(set(ca) ^ set(cb))} on one side only")
-            ok = False
+            problems.append(f"columns {sorted(set(ca) ^ set(cb))} on one side only")
         for name in [c for c in ca if c in cb]:
             kind, dev = compare_column(ca[name], cb[name])
             if kind == "float":
-                if dev > worst:
-                    worst, where = dev, f"{rel}:{name}"
-                if dev:
-                    print(f"{rel}: {name}: max relative deviation {dev:.3e}")
+                if dev > file_worst:
+                    file_worst, worst_name = dev, name
             elif kind == "int":
                 if dev:
-                    print(f"{rel}: {name}: integer column differs in {int(dev)} rows")
-                    ok = False
+                    problems.append(f"{name}: integer column differs in {int(dev)} rows")
             elif kind != "text":
-                print(f"{rel}: {name}: {kind}")
-                ok = False
+                problems.append(f"{name}: {kind}")
+        ok = ok and not problems
+        if file_worst > worst:
+            worst, where = file_worst, f"{rel}:{worst_name}"
+        floats = ("numbers agree" if worst_name is None else
+                  f"max relative deviation {file_worst:.3e} in column {worst_name}")
+        print(f"{rel}: " + "; ".join(problems + [floats]))
     return ok, worst, where
 
 

@@ -128,33 +128,36 @@ def _config(X, spec, **fixed):
     return make_config(X, **{k: v for k, v in given.items() if v is not None})
 
 
-def _clean_certificate(prob, J, max_iter=None):
-    """The clean problem's certificate, checked every 100 iterations; None: certify's budget."""
-    cfg = None if max_iter is None else make_config(prob.X, max_iter=max_iter)
+def _clean_certificate(prob, J, cfg=None):
+    """The clean problem's certificate, checked every 100 iterations; None: certify's config."""
     return certify(prob.X, J, prob.y, cfg=cfg, check_every=100)
 
 
-def _noisy_sweep(spec, kind, deltas):
+def _noisy_sweep(spec, kind, deltas, epsilons=None):
     """The spec with its noise levels (``deltas`` if it sets none), the operator and bias of
-    a ``kind`` problem, the clean certificate, the noisy data as columns and their labels.
+    a ``kind`` problem, the configs of the spec's run parameters at each of ``epsilons``
+    (None: the spec's own), the clean certificate, the noisy data as columns and their labels.
 
-    The output directory is made once the keys of ``spec.problem`` passed.
+    The output directory is made once the keys of ``spec.problem`` and the run parameters
+    passed.
     """
     spec = replace(spec, deltas=spec.deltas or deltas)
     prob, J = _problem(kind, spec.seed, spec.problem)
+    epsilons = (spec.eps,) if epsilons is None else epsilons
+    cfgs = [_config(prob.X, spec, epsilon=eps) for eps in epsilons]
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     cert = _clean_certificate(prob, J)
     labels = [(delta, rep) for delta in spec.deltas for rep in range(spec.replicates)]
     # a noise level's seeds are keyed by its position in the spec; the levels are distinct
     Y = np.stack([add_noise(prob, delta, child_seed(spec.seed, spec.deltas.index(delta), rep))
                   .y_delta for delta, rep in labels], axis=1)
-    return spec, prob.X, J, cert, Y, labels
+    return spec, prob.X, J, cfgs, cert, Y, labels
 
 
 def _distance_curves(spec, kind, deltas):
     """Shared semiconvergence machinery: noisy runs against a clean certificate."""
-    spec, X, J, cert, Y, labels = _noisy_sweep(spec, kind, deltas)
-    logs = run(X, J, Y, _config(X, spec), reference=cert, columns=("dist_ref", "dist_avg_ref"))
+    spec, X, J, (cfg,), cert, Y, labels = _noisy_sweep(spec, kind, deltas)
+    logs = run(X, J, Y, cfg, reference=cert, columns=("dist_ref", "dist_avg_ref"))
     summary_rows, svg_series, svg_marks = [], [], []
     for (delta, rep), log in zip(labels, logs):
         ks = log.ks()
@@ -212,9 +215,9 @@ def run_matcomp(spec):
 
 def run_stoptime(spec):
     """Oracle stopping time versus noise level, with a straight-line fit."""
-    spec, X, J, cert, Y, labels = _noisy_sweep(spec, "sparse",
-                                               tuple(np.linspace(0.1, 6.0, 20)))
-    k_stars, d_stars = _oracle_stops(X, J, Y, _config(X, spec), cert.w_star)
+    spec, X, J, (cfg,), cert, Y, labels = _noisy_sweep(spec, "sparse",
+                                                       tuple(np.linspace(0.1, 6.0, 20)))
+    k_stars, d_stars = _oracle_stops(X, J, Y, cfg, cert.w_star)
     raw_rows = [(delta, rep, k, d)
                 for (delta, rep), k, d in zip(labels, k_stars.tolist(), d_stars.tolist())]
     for delta, rep, k, _ in raw_rows:
@@ -291,11 +294,10 @@ def run_bounds(spec, eps_list=None):
     if spec.max_iter is not None and spec.max_iter < 1:
         raise ContractViolation(f"the bounds hold for k >= 1, so the budget must be >= 1, "
                                 f"got {spec.max_iter}")
-    spec, X, J, cert, Y, labels = _noisy_sweep(spec, "sparse", (0.0,))
+    spec, X, J, cfgs, cert, Y, labels = _noisy_sweep(spec, "sparse", (0.0,), eps_list)
     violations = 0
     worst_gap_ratio = worst_feas_ratio = -np.inf
-    for eps in eps_list:
-        cfg = _config(X, spec, epsilon=eps)
+    for eps, cfg in zip(eps_list, cfgs):
         v0 = weighted_v(-cert.w_star, -cert.theta_star, cfg.tau, cfg.sigma)
         logs = run(X, J, Y, cfg, reference=cert, columns=("gap_avg", "res_avg_clean"))
         for (delta, rep), log in zip(labels, logs):
@@ -362,7 +364,7 @@ def run_pathcmp(spec):
     grid = None
     for f, test_idx in enumerate(folds):
         train_idx = np.setdiff1d(perm, test_idx)
-        X_tr = DenseOperator(Xm[train_idx])
+        X_tr = DenseOperator._adopt(Xm[train_idx])
         y_tr = y_obs[train_idx]
         X_te, y_te = Xm[test_idx], y_obs[test_idx]
         grid = lambda_grid(X_tr, y_tr, count=params["grid_count"],
@@ -428,7 +430,6 @@ def run_tvdemo(spec):
         raise ContractViolation(f"p1 and p2 must be positive integers, got {p1} and {p2}")
     if not 0.0 < params["obs_frac"] <= 1.0:
         raise ContractViolation(f"obs_frac must lie in (0, 1], got {params['obs_frac']}")
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
     image = np.zeros((p1, p2))
     image[: p1 // 2, : p2 // 2] = 1.0
     image[p1 // 2:, p2 // 2:] = 2.0
@@ -438,8 +439,9 @@ def run_tvdemo(spec):
     mask = MaskOperator((p1, p2), [(int(f) // p2, int(f) % p2) for f in flat])
     y = mask.apply(image.ravel())
     lifted, bias, y_lifted = tv_reformulate(mask, y, p1, p2)
-    budget = 100_000 if spec.max_iter is None else spec.max_iter
-    cert = certify(lifted, bias, y_lifted, cfg=make_config(lifted, max_iter=budget),
+    cfg = make_config(lifted, max_iter=100_000 if spec.max_iter is None else spec.max_iter)
+    spec.out_dir.mkdir(parents=True, exist_ok=True)
+    cert = certify(lifted, bias, y_lifted, cfg=cfg,
                    feas_tol=1e-8 * max(1.0, float(np.linalg.norm(y_lifted))),
                    check_every=200)
     w_img = cert.w_star[: p1 * p2]
@@ -463,8 +465,9 @@ def run_solve(spec):
     prob, J = _problem_for_cli(spec)
     if spec.deltas:
         prob = add_noise(prob, spec.deltas[0], child_seed(spec.seed, 41))
+    cfg = _config(prob.X, spec)
     spec.out_dir.mkdir(parents=True, exist_ok=True)
-    log = run(prob.X, J, prob.y_delta, _config(prob.X, spec))
+    log = run(prob.X, J, prob.y_delta, cfg)
     log.write_csv(spec.out_dir / "log.csv")
     save_problem(prob, spec.out_dir / "problem")
     return {"final_res_noisy": float(log.column("res_noisy")[-1]),
@@ -474,8 +477,9 @@ def run_solve(spec):
 def run_certify(spec):
     """Certify the clean problem; write the pair, its residuals, k and whether it was polished."""
     prob, J = _problem_for_cli(spec)
+    cfg = None if spec.max_iter is None else make_config(prob.X, max_iter=spec.max_iter)
     spec.out_dir.mkdir(parents=True, exist_ok=True)
-    cert = _clean_certificate(prob, J, spec.max_iter)
+    cert = _clean_certificate(prob, J, cfg)
     np.savetxt(spec.out_dir / "cert_w.csv", cert.w_star, delimiter=",")
     np.savetxt(spec.out_dir / "cert_theta.csv", cert.theta_star, delimiter=",")
     meta = {"feas_res": cert.feas_res, "subgrad_res": cert.subgrad_res,

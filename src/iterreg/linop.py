@@ -109,12 +109,28 @@ class LinearOperator:
 
 
 class DenseOperator(LinearOperator):
-    """Explicit matrix, stored row-major with rows indexing the output."""
+    """Explicit matrix, stored row-major with rows indexing the output.
+
+    The operator holds a read-only copy of ``matrix``, so a later change to the
+    caller's array does not reach it.
+    """
 
     kind = "dense"
 
     def __init__(self, matrix):
-        a = np.array(matrix, dtype=float)
+        self._hold(np.array(matrix, dtype=float))
+
+    @classmethod
+    def _adopt(cls, matrix):
+        """The operator of an array made for it alone, held without a copy and made read-only.
+
+        For the library's own freshly made designs; the caller keeps no other use of the array.
+        """
+        op = cls.__new__(cls)
+        op._hold(np.asarray(matrix, dtype=float))
+        return op
+
+    def _hold(self, a):
         if a.ndim != 2:
             raise ContractViolation(f"dense operator needs a 2-D array, got ndim={a.ndim}")
         a.setflags(write=False)

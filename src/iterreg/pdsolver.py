@@ -88,10 +88,10 @@ class SolverConfig:
             raise ContractViolation(f"epsilon must lie in (0,1), got {self.epsilon}")
         if self.tau <= 0 or self.sigma <= 0:
             raise ContractViolation(f"step sizes must be positive, got tau={self.tau}, sigma={self.sigma}")
-        if self.max_iter < 0:
-            raise ContractViolation(f"max_iter must be nonnegative, got {self.max_iter}")
-        if self.record_every < 1:
-            raise ContractViolation(f"record_every must be >= 1, got {self.record_every}")
+        for name, least in (("max_iter", 0), ("record_every", 1)):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) and value >= least):
+                raise ContractViolation(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def make_config(X, epsilon=0.99, max_iter=5000, record_every=1):
@@ -105,7 +105,7 @@ def make_config(X, epsilon=0.99, max_iter=5000, record_every=1):
         raise ContractViolation("cannot pick step sizes for the zero operator")
     step_size = float(np.sqrt(epsilon) / nu)
     return SolverConfig(epsilon=float(epsilon), tau=step_size, sigma=step_size,
-                        max_iter=int(max_iter), record_every=int(record_every))
+                        max_iter=max_iter, record_every=record_every)
 
 
 @dataclass

@@ -48,16 +48,24 @@ def gen_sparse(n=200, p=500, s=75, corr=0.2, y_norm=20.0, seed=0):
     Rows of X are drawn from N(0, Sigma) with Sigma_ij = corr^|i-j|; the
     ground truth has s entries equal to 1 at uniform positions before the
     joint rescaling of (w0, y) that sets ||y|| = y_norm.
+
+    The columns z_j of a standard normal n x p draw Z become the columns of X
+    in place by the AR(1) recurrence x_0 = z_0, x_j = corr x_{j-1} +
+    sqrt(1 - corr^2) z_j. This is X = Z L^T for the Cholesky factor L of
+    Sigma, whose closed form is L_j0 = corr^j and L_ji = corr^(j-i)
+    sqrt(1 - corr^2) for 1 <= i <= j, so neither Sigma nor L is formed; the
+    two agree up to rounding, and at corr = 0 bit for bit.
     """
     if not (0 <= s <= p and 0 < n <= p):
         raise ContractViolation(f"need 0 <= s <= p and 0 < n <= p, got n={n}, p={p}, s={s}")
     if not (0.0 <= corr < 1.0):
         raise ContractViolation(f"corr must lie in [0,1), got {corr}")
     rng = np.random.default_rng(seed)
-    idx = np.arange(p)
-    sigma = np.power(corr, np.abs(np.subtract.outer(idx, idx)))
-    chol = np.linalg.cholesky(sigma)
-    X = rng.standard_normal((n, p)) @ chol.T
+    X = rng.standard_normal((n, p))
+    innovation = np.sqrt(1.0 - corr * corr)
+    for j in range(1, p):
+        X[:, j] *= innovation
+        X[:, j] += corr * X[:, j - 1]
     w0 = np.zeros(p)
     if s > 0:
         support = rng.choice(p, size=s, replace=False)
@@ -68,7 +76,7 @@ def gen_sparse(n=200, p=500, s=75, corr=0.2, y_norm=20.0, seed=0):
         scale = y_norm / norm_y
         y *= scale
         w0 *= scale
-    return NoisyProblem(X=DenseOperator(X), y=y, y_delta=y.copy(), delta=0.0,
+    return NoisyProblem(X=DenseOperator._adopt(X), y=y, y_delta=y.copy(), delta=0.0,
                         ground_truth=w0, seed=int(seed), kind="sparse",
                         params={"n": n, "p": p, "s": s, "corr": corr, "y_norm": y_norm})
 
@@ -179,7 +187,7 @@ def load_problem(in_dir):
 
     meta = json.loads(saved("meta.json").read_text())
     if meta["operator"] == "dense":
-        X = DenseOperator(np.loadtxt(saved("X.csv"), delimiter=",", ndmin=2))
+        X = DenseOperator._adopt(np.loadtxt(saved("X.csv"), delimiter=",", ndmin=2))
     elif meta["operator"] == "mask":
         pairs = np.loadtxt(saved("mask.csv"), delimiter=",", ndmin=2, dtype=int)
         X = MaskOperator(tuple(meta["grid"]), [tuple(p) for p in pairs])

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from iterreg import cli, gen_matcomp
+from iterreg import cli, experiments, gen_matcomp
 from iterreg.errors import AssumptionViolated, BoundViolation, CertificationFailure
 from iterreg.experiments import ExperimentSpec
 from iterreg.pdsolver import CSV_VERSION, IterateLog
@@ -176,6 +176,37 @@ def test_out_of_range_experiment_input_is_an_error(tmp_path, capsys, argv, named
     assert capsys.readouterr().err == f"error: {named}\n"
     # the penalty solver checks its own inputs, once the output directory is made
     assert (tmp_path / "r").exists() == named.startswith(("max_iter", "tolerance"))
+
+
+_SWEEP = ("--n", "30", "--p", "60", "--s", "5", "--replicates", "1")
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("semiconv", *_SWEEP, "--max-iter", "-1"), "max_iter must be an integer >= 0, got -1"),
+    (("stoptime", *_SWEEP, "--record-every", "0"),
+     "record_every must be an integer >= 1, got 0"),
+    (("matcomp", "--d", "6", "--replicates", "1", "--eps", "1.5"),
+     "epsilon must lie in (0,1), got 1.5"),
+    (("bounds", *_SWEEP, "--record-every", "-2"), "record_every must be an integer >= 1, got -2"),
+    (("bounds", *_SWEEP, "--bound-eps", "0.5", "--bound-eps", "1.5"),
+     "epsilon must lie in (0,1), got 1.5"),
+    (("solve", "--n", "10", "--p", "20", "--s", "2", "--record-every", "0"),
+     "record_every must be an integer >= 1, got 0"),
+    (("certify", "--n", "10", "--p", "20", "--s", "2", "--max-iter", "-1"),
+     "max_iter must be an integer >= 0, got -1"),
+    (("tv-demo", "--max-iter", "-1"), "max_iter must be an integer >= 0, got -1"),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
+def test_run_parameter_error_leaves_no_directory(tmp_path, capsys, monkeypatch, argv, named):
+    """The budget, stride and step-size product are checked before any output or certificate."""
+
+    def no_certificate(*args, **kwargs):
+        raise AssertionError("certified before the run parameters were checked")
+
+    monkeypatch.setattr(experiments, "certify", no_certificate)
+    rc = cli.main([*argv, "--out", str(tmp_path / "r")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {named}\n"
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("argv, named", [

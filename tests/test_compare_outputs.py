@@ -2,6 +2,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_outputs.py"
@@ -43,9 +44,23 @@ def test_float_deviation_is_relative_to_the_column_and_passes(tmp_path, compare,
     write_tree(tmp_path / "b", dist=0.5 + 1e-10)
     assert compare([str(tmp_path / "a"), str(tmp_path / "b")]) == 0
     out = capsys.readouterr().out
-    assert "run/summary.csv: dist_star: max relative deviation 2.000e-10" in out
-    assert "cert_w.csv: 0: max relative deviation 2.000e-10" in out
+    assert "run/summary.csv: max relative deviation 2.000e-10 in column dist_star\n" in out
+    assert "cert_w.csv: max relative deviation 2.000e-10 in column 0\n" in out
     assert "plot.svg: differs (not compared by column)" in out
+
+
+def test_a_wide_matrix_is_one_line_naming_its_worst_column(tmp_path, compare, capsys):
+    X = np.arange(1.0, 1001.0).reshape(2, 500)
+    for side, worst in (("a", 0.0), ("b", 3e-9)):
+        (tmp_path / side).mkdir()
+        Y = X * (1.0 + 1e-12)
+        Y[1, 317] = X[1, 317] * (1.0 + worst)
+        np.savetxt(tmp_path / side / "X.csv", Y if side == "b" else X, delimiter=",")
+    assert compare([str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    assert lines[0].startswith("X.csv: max relative deviation 3.000e-09 in column 317")
+    assert lines[1].endswith("(X.csv:317)")
 
 
 @pytest.mark.parametrize("change", [dict(k_star=8), dict(violations=1)])

@@ -51,6 +51,18 @@ class TestConfig:
         with pytest.raises(ContractViolation):
             SolverConfig(epsilon=0.5, tau=0.1, sigma=0.1, max_iter=10, record_every=0)
 
+    @pytest.mark.parametrize("name, value", [("max_iter", 2.7), ("record_every", 2.5),
+                                             ("max_iter", 3.0), ("max_iter", -1),
+                                             ("record_every", 0)])
+    def test_make_config_rejects_a_budget_or_stride_that_is_no_integer_in_range(
+            self, name, value):
+        with pytest.raises(ContractViolation, match=f"^{name} must be an integer >= .*{value}$"):
+            make_config(DenseOperator(np.eye(2)), **{name: value})
+
+    def test_make_config_keeps_integer_budget_and_stride(self):
+        cfg = make_config(DenseOperator(np.eye(2)), max_iter=np.int64(7), record_every=3)
+        assert (cfg.max_iter, cfg.record_every) == (7, 3)
+
     def test_default_steps_meet_product(self):
         X = DenseOperator(np.diag([2.0, 1.0]))
         cfg = make_config(X, epsilon=0.5)

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from iterreg import (
     BlockBias,
     ContractViolation,
+    DenseOperator,
     Grad2D,
     MaskOperator,
     add_noise,
@@ -49,6 +51,37 @@ class TestGenSparse:
         X = np.vstack(blocks)
         cov = X.T @ X / X.shape[0]
         assert np.max(np.abs(cov - np.eye(100))) < 0.1
+
+    @pytest.mark.parametrize("corr", [0.2, 0.9])
+    @pytest.mark.parametrize("n, p", [(30, 60), (200, 500)])
+    def test_design_is_the_draw_times_the_cholesky_factor(self, n, p, corr):
+        X = gen_sparse(n=n, p=p, s=3, corr=corr, seed=4).X.matrix
+        idx = np.arange(p)
+        sigma = corr ** np.abs(np.subtract.outer(idx, idx))
+        want = np.random.default_rng(4).standard_normal((n, p)) @ np.linalg.cholesky(sigma).T
+        assert np.max(np.abs(X - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_uncorrelated_design_is_the_draw_bit_for_bit(self):
+        X = gen_sparse(n=30, p=60, s=3, corr=0.0, seed=4).X.matrix
+        assert X.tobytes() == np.random.default_rng(4).standard_normal((30, 60)).tobytes()
+
+    def test_design_is_held_once(self):
+        n, p = 400, 800
+        tracemalloc.start()
+        try:
+            prob = gen_sparse(n=n, p=p, s=120, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * n * p * 8
+        assert not prob.X.matrix.flags.writeable
+
+    def test_dense_operator_copies_the_callers_array(self):
+        a = np.arange(6.0).reshape(2, 3)
+        X = DenseOperator(a)
+        a[0, 0] = 99.0
+        assert X.matrix[0, 0] == 0.0
+        assert a.flags.writeable and not X.matrix.flags.writeable
 
     def test_param_validation(self):
         with pytest.raises(ContractViolation):
