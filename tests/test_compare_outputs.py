@@ -51,11 +51,11 @@ def test_float_deviation_is_relative_to_the_column_and_passes(tmp_path, compare,
 
 def test_a_wide_matrix_is_one_line_naming_its_worst_column(tmp_path, compare, capsys):
     X = np.arange(1.0, 1001.0).reshape(2, 500)
-    for side, worst in (("a", 0.0), ("b", 3e-9)):
+    Y = X * (1.0 + 1e-12)
+    Y[1, 317] = X[1, 317] * (1.0 + 3e-9)
+    for side, matrix in (("a", X), ("b", Y)):
         (tmp_path / side).mkdir()
-        Y = X * (1.0 + 1e-12)
-        Y[1, 317] = X[1, 317] * (1.0 + worst)
-        np.savetxt(tmp_path / side / "X.csv", Y if side == "b" else X, delimiter=",")
+        np.savetxt(tmp_path / side / "X.csv", matrix, delimiter=",")
     assert compare([str(tmp_path / "a"), str(tmp_path / "b")]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 3
