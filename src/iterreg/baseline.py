@@ -23,6 +23,8 @@ def lambda_grid(X, y, count=100, span_decades=3.0):
     """Geometric grid lam_t = 10^(-span*t/(count-1)) * ||X^T y||_inf, descending."""
     if count < 2:
         raise ContractViolation(f"grid needs at least 2 points, got {count}")
+    if not 0.0 < span_decades < np.inf:  # NaN included
+        raise ContractViolation(f"span_decades must be finite and > 0, got {span_decades}")
     lam_max = float(np.max(np.abs(X.adjoint(np.asarray(y, dtype=float)))))
     if lam_max == 0.0:
         raise ContractViolation("X^T y = 0; the penalty grid is empty")

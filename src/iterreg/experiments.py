@@ -1,10 +1,15 @@
 """Experiment harness: noisy-run diagnostics at desk scale, CSV + SVG outputs.
 
 Every experiment is deterministic given its spec: replicate noise seeds are
-derived from the base seed through numpy SeedSequence spawn keys, and output
-files are written once at the end. The noisy replicates of an experiment run
-as the columns of one batched iteration, by noise level as the spec lists
-them and then by replicate, each column labelled with its (delta, replicate).
+derived from the base seed through numpy SeedSequence spawn keys. The noisy
+replicates of an experiment run as the columns of one batched iteration, by
+noise level as the spec lists them and then by replicate, each column
+labelled with its (delta, replicate).
+
+A runner builds every object that checks a value it is given before its
+first output, where :func:`_output_dir` makes the output directory, so a run
+that fails before then leaves no directory. Outputs are written at the end;
+only :func:`run_bounds` writes each step-size product's CSVs as it goes.
 """
 
 from __future__ import annotations
@@ -66,10 +71,13 @@ class ExperimentSpec:
     def __post_init__(self):
         self.out_dir = Path(self.out_dir)
         self.deltas = tuple(self.deltas)
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ContractViolation(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.replicates < 1:
             raise ContractViolation(f"replicates must be >= 1, got {self.replicates}")
-        if any(d < 0 for d in self.deltas):
-            raise ContractViolation(f"noise levels must be nonnegative, got {self.deltas}")
+        bad = [d for d in self.deltas if not 0 <= d < np.inf]  # NaN included
+        if bad:
+            raise ContractViolation(f"noise levels must be finite and nonnegative, got {bad}")
         _check_distinct(self.deltas, "noise levels")
 
 
@@ -128,6 +136,16 @@ def _config(X, spec, **fixed):
     return make_config(X, **{k: v for k, v in given.items() if v is not None})
 
 
+def _output_dir(spec):
+    """The spec's output directory, made if it is not there yet."""
+    try:
+        spec.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ContractViolation(
+            f"cannot make the output directory {spec.out_dir}: {exc.strerror}") from exc
+    return spec.out_dir
+
+
 def _clean_certificate(prob, J, cfg=None):
     """The clean problem's certificate, checked every 100 iterations; None: certify's config."""
     return certify(prob.X, J, prob.y, cfg=cfg, check_every=100)
@@ -137,20 +155,16 @@ def _noisy_sweep(spec, kind, deltas, epsilons=None):
     """The spec with its noise levels (``deltas`` if it sets none), the operator and bias of
     a ``kind`` problem, the configs of the spec's run parameters at each of ``epsilons``
     (None: the spec's own), the clean certificate, the noisy data as columns and their labels.
-
-    The output directory is made once the keys of ``spec.problem`` and the run parameters
-    passed.
     """
     spec = replace(spec, deltas=spec.deltas or deltas)
     prob, J = _problem(kind, spec.seed, spec.problem)
     epsilons = (spec.eps,) if epsilons is None else epsilons
     cfgs = [_config(prob.X, spec, epsilon=eps) for eps in epsilons]
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
-    cert = _clean_certificate(prob, J)
     labels = [(delta, rep) for delta in spec.deltas for rep in range(spec.replicates)]
     # a noise level's seeds are keyed by its position in the spec; the levels are distinct
     Y = np.stack([add_noise(prob, delta, child_seed(spec.seed, spec.deltas.index(delta), rep))
                   .y_delta for delta, rep in labels], axis=1)
+    cert = _clean_certificate(prob, J)
     return spec, prob.X, J, cfgs, cert, Y, labels
 
 
@@ -179,16 +193,16 @@ def _distance_curves(spec, kind, deltas):
                             "interior": [bool(r[6]) for r in rows],
                             "k_star": [int(r[2]) for r in rows],
                             "margins": [float(r[7]) for r in rows]}
-    name = spec.name
-    write_csv(spec.out_dir / f"{name}_curves.csv",
+    name, out = spec.name, _output_dir(spec)
+    write_csv(out / f"{name}_curves.csv",
               ("delta", "replicate", "k", "dist", "dist_avg"),
               ((delta, rep, k, d, da) for (delta, rep), log in zip(labels, logs)
                for k, d, da in zip(log.ks().tolist(), log.column("dist_ref").tolist(),
                                    log.column("dist_avg_ref").tolist())))
-    write_csv(spec.out_dir / f"{name}_summary.csv",
+    write_csv(out / f"{name}_summary.csv",
               ("delta", "replicate", "k_star", "dist_star", "dist_first",
                "dist_last", "interior", "margin"), summary_rows)
-    line_chart(spec.out_dir / f"{name}.svg", svg_series, markers=svg_marks,
+    line_chart(out / f"{name}.svg", svg_series, markers=svg_marks,
                title="distance to the clean solution along noisy runs",
                xlabel="iteration", ylabel="distance", logy=True)
     return {
@@ -247,16 +261,17 @@ def run_stoptime(spec):
         fit = {"slope": None, "intercept": None, "pearson_r": None, "rel_intercept": None}
         fit_rows = [(None, None, None, None)]
         fit_line = None
-    write_csv(spec.out_dir / "stoptime_raw.csv",
+    out = _output_dir(spec)
+    write_csv(out / "stoptime_raw.csv",
               ("delta", "replicate", "k_star", "dist_star"), raw_rows)
-    write_csv(spec.out_dir / "stoptime_summary.csv",
+    write_csv(out / "stoptime_summary.csv",
               ("delta", "mean_kstar", "mean_inv_kstar", "std_inv_kstar"), sum_rows)
-    write_csv(spec.out_dir / "stoptime_fit.csv",
+    write_csv(out / "stoptime_fit.csv",
               ("slope", "intercept", "pearson_r", "rel_intercept"), fit_rows)
     series = [("mean 1/k*", deltas, inv)]
     if fit_line is not None:
         series.append(("least-squares fit", deltas, fit_line))
-    line_chart(spec.out_dir / "stoptime.svg", series,
+    line_chart(out / "stoptime.svg", series,
                title="inverse oracle stopping time vs noise level",
                xlabel="delta", ylabel="mean 1/k*")
     return {"fit": fit, "mean_inv_kstar": mean_inv, "mean_kstar": mean_k,
@@ -316,7 +331,7 @@ def run_bounds(spec, eps_list=None):
             if pos.any():
                 worst_feas_ratio = max(worst_feas_ratio, np.max(feas_sq[pos] / fb[pos]))
             violations += int(np.sum(~gap_ok) + np.sum(~feas_ok))
-            write_csv(spec.out_dir / f"bounds_eps{eps:g}_delta{delta:g}_rep{rep}.csv",
+            write_csv(_output_dir(spec) / f"bounds_eps{eps:g}_delta{delta:g}_rep{rep}.csv",
                       ("k", "gap_meas", "gap_bound", "feas_sq_meas",
                        "feas_bound", "gap_ok", "feas_ok"),
                       zip(k.tolist(), gap_meas.tolist(), gb.tolist(), feas_sq.tolist(),
@@ -326,7 +341,7 @@ def run_bounds(spec, eps_list=None):
     summary = {"violations": violations,
                "worst_gap_ratio": None if worst_gap_ratio == -np.inf else float(worst_gap_ratio),
                "worst_feas_ratio": None if worst_feas_ratio == -np.inf else float(worst_feas_ratio)}
-    (spec.out_dir / "bounds_summary.json").write_text(json.dumps(summary, indent=2))
+    (_output_dir(spec) / "bounds_summary.json").write_text(json.dumps(summary, indent=2))
     if violations:
         raise BoundViolation(
             f"{violations} bound violations beyond 1e-8 relative; see {spec.out_dir}")
@@ -346,39 +361,32 @@ def run_pathcmp(spec):
     _check_keys(spec.problem, params.keys() | _KEYS["sparse"], "pathcmp")
     for key, value in spec.problem.items():
         (params if key in params else sizes)[key] = value
+    prob, J = _problem("sparse", spec.seed, sizes)
     if not 2 <= params["folds"] <= sizes["n"]:
         raise ContractViolation(
             f"folds must lie in [2, n] = [2, {sizes['n']}], got {params['folds']}")
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
-    prob, J = _problem("sparse", spec.seed, sizes)
-    noisy = add_noise(prob, params["delta"], child_seed(spec.seed, 17))
-    y_obs = noisy.y_delta
+    y_obs = add_noise(prob, params["delta"], child_seed(spec.seed, 17)).y_delta
     Xm = prob.X.matrix
     rng = np.random.default_rng(child_seed(spec.seed, 23))
     perm = rng.permutation(Xm.shape[0])
-    folds = np.array_split(perm, params["folds"])
 
-    lasso_mse = np.zeros((params["folds"], params["grid_count"]))
-    lasso_iters = np.zeros(params["grid_count"])
-    cp_mse = np.zeros((params["folds"], params["cp_iters"] + 1))
-    grid = None
-    for f, test_idx in enumerate(folds):
+    lasso_mse, cp_mse, paths = [], [], []
+    for test_idx in np.array_split(perm, params["folds"]):
         train_idx = np.setdiff1d(perm, test_idx)
         X_tr = DenseOperator._adopt(Xm[train_idx])
         y_tr = y_obs[train_idx]
         X_te, y_te = Xm[test_idx], y_obs[test_idx]
+        cfg = _config(X_tr, spec, max_iter=params["cp_iters"])
         grid = lambda_grid(X_tr, y_tr, count=params["grid_count"],
                            span_decades=params["grid_span"])
         path = lasso_path(X_tr, y_tr, grid, tol=params["lasso_tol"],
                           max_iter=params["lasso_max_iter"])
-        lasso_mse[f] = [float(np.mean((X_te @ w - y_te) ** 2)) for w in path.solutions]
-        lasso_iters += np.asarray(path.inner_iters, dtype=float)
-        path.write_csv(spec.out_dir / f"pathcmp_lasso_fold{f}.csv")
-
-        cfg = _config(X_tr, spec, max_iter=params["cp_iters"])
-        for state in iterate(X_tr, J, y_tr, cfg):
-            cp_mse[f, state.k] = float(np.mean((X_te @ state.w - y_te) ** 2))
-    lasso_iters /= params["folds"]
+        paths.append(path)
+        lasso_mse.append([float(np.mean((X_te @ w - y_te) ** 2)) for w in path.solutions])
+        cp_mse.append([float(np.mean((X_te @ state.w - y_te) ** 2))
+                       for state in iterate(X_tr, J, y_tr, cfg)])
+    lasso_mse, cp_mse = np.array(lasso_mse), np.array(cp_mse)
+    lasso_iters = np.mean([path.inner_iters for path in paths], axis=0)
     lasso_mean = lasso_mse.mean(axis=0)
     cp_mean = cp_mse.mean(axis=0)
 
@@ -398,22 +406,25 @@ def run_pathcmp(spec):
         "cp_end_mse": float(cp_mean[-1]),
         "zero_mse": float(np.mean(y_obs ** 2)),
     }
+    out = _output_dir(spec)
+    for f, path in enumerate(paths):
+        path.write_csv(out / f"pathcmp_lasso_fold{f}.csv")
     fold_cols = [f"mse_fold{f}" for f in range(params["folds"])]
-    write_csv(spec.out_dir / "pathcmp_lasso.csv",
+    write_csv(out / "pathcmp_lasso.csv",
               ("index", "lambda", "mse_mean", *fold_cols, "inner_iters_mean"),
               [(t, grid[t], float(lasso_mean[t]), *[float(v) for v in lasso_mse[:, t]],
                 float(lasso_iters[t])) for t in range(params["grid_count"])])
-    write_csv(spec.out_dir / "pathcmp_cp.csv",
+    write_csv(out / "pathcmp_cp.csv",
               ("k", "mse_mean", *fold_cols),
               [(k, float(cp_mean[k]), *[float(v) for v in cp_mse[:, k]])
                for k in range(params["cp_iters"] + 1)])
-    write_csv(spec.out_dir / "pathcmp_summary.csv",
+    write_csv(out / "pathcmp_summary.csv",
               tuple(summary.keys()), [tuple(summary.values())])
-    line_chart(spec.out_dir / "pathcmp_lasso.svg",
+    line_chart(out / "pathcmp_lasso.svg",
                [("held-out MSE", np.asarray(grid), lasso_mean)],
                markers=[(f"best={lasso_mean[t_best]:.3f}", grid[t_best], lasso_mean[t_best])],
                title="penalty path: held-out MSE", xlabel="lambda", ylabel="MSE", logx=True)
-    line_chart(spec.out_dir / "pathcmp_cp.svg",
+    line_chart(out / "pathcmp_cp.svg",
                [("held-out MSE", np.arange(params["cp_iters"] + 1, dtype=float), cp_mean)],
                markers=[(f"best={cp_mean[k_best]:.3f}", float(k_best), cp_mean[k_best])],
                title="iteration path: held-out MSE", xlabel="iteration", ylabel="MSE")
@@ -440,7 +451,6 @@ def run_tvdemo(spec):
     y = mask.apply(image.ravel())
     lifted, bias, y_lifted = tv_reformulate(mask, y, p1, p2)
     cfg = make_config(lifted, max_iter=100_000 if spec.max_iter is None else spec.max_iter)
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
     cert = certify(lifted, bias, y_lifted, cfg=cfg,
                    feas_tol=1e-8 * max(1.0, float(np.linalg.norm(y_lifted))),
                    check_every=200)
@@ -449,8 +459,9 @@ def run_tvdemo(spec):
     grad_res = float(np.linalg.norm(Grad2D(p1, p2).apply(w_img) - u_grad))
     obs_res = float(np.linalg.norm(mask.apply(w_img) - y))
     rec_err = float(np.linalg.norm(w_img - image.ravel()))
-    np.savetxt(spec.out_dir / "tv_solution.csv", w_img.reshape(p1, p2), delimiter=",")
-    write_csv(spec.out_dir / "tv_summary.csv",
+    out = _output_dir(spec)
+    np.savetxt(out / "tv_solution.csv", w_img.reshape(p1, p2), delimiter=",")
+    write_csv(out / "tv_summary.csv",
               ("grad_residual", "obs_residual", "recovery_error", "tv_value"),
               [(grad_res, obs_res, rec_err, float(bias(cert.w_star)))])
     summary = {"grad_residual": grad_res, "obs_residual": obs_res,
@@ -466,10 +477,10 @@ def run_solve(spec):
     if spec.deltas:
         prob = add_noise(prob, spec.deltas[0], child_seed(spec.seed, 41))
     cfg = _config(prob.X, spec)
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
     log = run(prob.X, J, prob.y_delta, cfg)
-    log.write_csv(spec.out_dir / "log.csv")
-    save_problem(prob, spec.out_dir / "problem")
+    out = _output_dir(spec)
+    log.write_csv(out / "log.csv")
+    save_problem(prob, out / "problem")
     return {"final_res_noisy": float(log.column("res_noisy")[-1]),
             "final_j": float(log.column("j_val")[-1]), "iterations": int(log.ks()[-1])}
 
@@ -478,13 +489,13 @@ def run_certify(spec):
     """Certify the clean problem; write the pair, its residuals, k and whether it was polished."""
     prob, J = _problem_for_cli(spec)
     cfg = None if spec.max_iter is None else make_config(prob.X, max_iter=spec.max_iter)
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
     cert = _clean_certificate(prob, J, cfg)
-    np.savetxt(spec.out_dir / "cert_w.csv", cert.w_star, delimiter=",")
-    np.savetxt(spec.out_dir / "cert_theta.csv", cert.theta_star, delimiter=",")
+    out = _output_dir(spec)
+    np.savetxt(out / "cert_w.csv", cert.w_star, delimiter=",")
+    np.savetxt(out / "cert_theta.csv", cert.theta_star, delimiter=",")
     meta = {"feas_res": cert.feas_res, "subgrad_res": cert.subgrad_res,
             "polished": cert.polished, "k": cert.k}
-    (spec.out_dir / "cert_meta.json").write_text(json.dumps(meta, indent=2))
+    (out / "cert_meta.json").write_text(json.dumps(meta, indent=2))
     return meta
 
 

@@ -103,7 +103,8 @@ def make_config(X, epsilon=0.99, max_iter=5000, record_every=1):
     nu = X.norm_est()
     if nu == 0.0:
         raise ContractViolation("cannot pick step sizes for the zero operator")
-    step_size = float(np.sqrt(epsilon) / nu)
+    with np.errstate(invalid="ignore"):  # a negative epsilon is for SolverConfig to reject
+        step_size = float(np.sqrt(epsilon) / nu)
     return SolverConfig(epsilon=float(epsilon), tau=step_size, sigma=step_size,
                         max_iter=max_iter, record_every=record_every)
 

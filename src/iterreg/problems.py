@@ -60,6 +60,8 @@ def gen_sparse(n=200, p=500, s=75, corr=0.2, y_norm=20.0, seed=0):
         raise ContractViolation(f"need 0 <= s <= p and 0 < n <= p, got n={n}, p={p}, s={s}")
     if not (0.0 <= corr < 1.0):
         raise ContractViolation(f"corr must lie in [0,1), got {corr}")
+    if not 0.0 <= y_norm < np.inf:  # NaN included
+        raise ContractViolation(f"y_norm must be finite and >= 0, got {y_norm}")
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, p))
     innovation = np.sqrt(1.0 - corr * corr)
@@ -91,6 +93,8 @@ def gen_matcomp(d=20, r=5, obs_frac_denom=5, y_norm=20.0, seed=0):
         raise ContractViolation(f"need 0 < r <= d, got d={d}, r={r}")
     if obs_frac_denom < 1:
         raise ContractViolation(f"obs_frac_denom must be >= 1, got {obs_frac_denom}")
+    if not 0.0 <= y_norm < np.inf:  # NaN included
+        raise ContractViolation(f"y_norm must be finite and >= 0, got {y_norm}")
     rng = np.random.default_rng(seed)
     U = rng.standard_normal((d, r))
     V = rng.standard_normal((d, r))
@@ -116,8 +120,8 @@ def add_noise(prob, delta, seed):
     lives on the observed entries: the masking adjoint annihilates the others,
     so noise placed there would be invisible to the iteration.
     """
-    if delta < 0:
-        raise ContractViolation(f"delta must be nonnegative, got {delta}")
+    if not 0 <= delta < np.inf:  # NaN included
+        raise ContractViolation(f"delta must be finite and nonnegative, got {delta}")
     if delta == 0:
         return dataclasses.replace(prob, y_delta=prob.y.copy(), delta=0.0)
     gain = prob.X.gain if isinstance(prob.X, MaskOperator) else 1.0

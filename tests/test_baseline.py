@@ -46,6 +46,12 @@ class TestLambdaGrid:
         with pytest.raises(ContractViolation):
             lambda_grid(identity(2), np.ones(2), count=1)
 
+    @pytest.mark.parametrize("span", [np.nan, np.inf, -1.0, 0.0])
+    def test_span_must_be_finite_and_positive(self, span):
+        with pytest.raises(ContractViolation,
+                           match=f"^span_decades must be finite and > 0, got {span}$"):
+            lambda_grid(identity(2), np.ones(2), count=4, span_decades=span)
+
 
 class TestSolveTikhonov:
     def test_identity_closed_form(self):

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 from pathlib import Path
@@ -87,6 +88,8 @@ def test_max_iter_zero_means_no_iterations(tmp_path, capsys, cmd):
     rc = cli.main([cmd, *flags, "--max-iter", "0", "--out", str(tmp_path / "c")])
     assert rc == 1
     assert "within 0 iterations" in capsys.readouterr().err
+    # a failed certificate leaves no output directory
+    assert not (tmp_path / "c").exists()
 
 
 RUNNERS = {"solve": "run_solve", "certify": "run_certify", "semiconv": "run_semiconv",
@@ -138,92 +141,121 @@ def test_loaded_problem_takes_no_generator_flags(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv, named", [
-    (("semiconv", "--delta", "0.6", "--delta", "0.6", "--delta", "1.2", "--replicates", "2"),
-     "noise levels must be distinct; [0.6] repeat"),
-    (("bounds", "--delta", "0.5", "--bound-eps", "0.5", "--bound-eps", "0.5"),
-     "bound epsilons must be distinct; [0.5] repeat"),
-])
-def test_repeated_noise_level_or_bound_epsilon_is_an_error(tmp_path, capsys, argv, named):
-    rc = cli.main([*argv, "--n", "30", "--p", "60", "--s", "5", "--out", str(tmp_path / "r")])
-    assert rc == 1
-    assert capsys.readouterr().err == f"error: {named}\n"
-    assert not (tmp_path / "r").exists()
+_SPARSE = ("--n", "30", "--p", "60", "--s", "5")
+_PATHCMP = ("--n", "40", "--p", "80", "--s", "6", "--grid-count", "4", "--cp-iters", "5")
+
+# Bad values of each flag, each with the flags around it and the one error line it gives,
+# the same in every command that takes the flag ...
+_BAD = {
+    "--seed": [(("--seed", "-1"), "seed must be an integer >= 0, got -1")],
+    "--eps": [(("--eps", v), f"epsilon must lie in (0,1), got {v}") for v in ("1.5", "-1.0")],
+    "--max-iter": [(("--max-iter", "-1"), "max_iter must be an integer >= 0, got -1")],
+    "--record-every": [(("--record-every", v), f"record_every must be an integer >= 1, got {v}")
+                       for v in ("0", "-2")],
+    "--delta": [(("--delta", v), f"noise levels must be finite and nonnegative, got [{v}]")
+                for v in ("-1.0", "nan", "inf")],
+    "--replicates": [(("--replicates", "0"), "replicates must be >= 1, got 0")],
+    "--n": [(("--n", "0", "--p", "60", "--s", "5"),
+             "need 0 <= s <= p and 0 < n <= p, got n=0, p=60, s=5")],
+    "--p": [(("--n", "30", "--p", "20", "--s", "5"),
+             "need 0 <= s <= p and 0 < n <= p, got n=30, p=20, s=5")],
+    "--s": [(("--n", "40", "--p", "80", "--s", "100"),
+             "need 0 <= s <= p and 0 < n <= p, got n=40, p=80, s=100")],
+    "--corr": [(("--corr", "1.5"), "corr must lie in [0,1), got 1.5")],
+    "--y-norm": [(("--y-norm", v), f"y_norm must be finite and >= 0, got {v}")
+                 for v in ("-1.0", "nan", "inf")],
+    "--d": [(("--d", "0"), "need 0 < r <= d, got d=0, r=5")],
+    "--rank": [(("--d", "6", "--rank", "7"), "need 0 < r <= d, got d=6, r=7")],
+    "--obs-denom": [(("--obs-denom", "0"), "obs_frac_denom must be >= 1, got 0")],
+    "--problem": [(("--problem", "matcomp", "--n", "10"),
+                   "a matcomp problem takes no parameters ['n']")],
+    "--load": [(("--load", "nowhere"), "problem directory nowhere has no meta.json")],
+}
+_MATCOMP_KIND = {flag: [(("--problem", "matcomp", *argv), line) for argv, line in _BAD[flag]]
+                 for flag in ("--d", "--rank", "--obs-denom")}
+# ... but where a command reads it its own way, or takes it alone.
+_BAD_IN = {
+    "solve": _MATCOMP_KIND,
+    "certify": _MATCOMP_KIND,
+    "semiconv": {"--delta": [
+        *_BAD["--delta"],
+        ((*_SPARSE, "--replicates", "2", "--delta", "0.6", "--delta", "0.6", "--delta", "1.2"),
+         "noise levels must be distinct; [0.6] repeat")]},
+    "bounds": {
+        "--max-iter": [((*_SPARSE, "--delta", "0.5", "--replicates", "1", "--max-iter", v),
+                        f"the bounds hold for k >= 1, so the budget must be >= 1, got {v}")
+                       for v in ("0", "-1")],
+        "--bound-eps": [
+            ((*_SPARSE, "--delta", "0.5", "--bound-eps", "0.5", "--bound-eps", "0.5"),
+             "bound epsilons must be distinct; [0.5] repeat"),
+            ((*_SPARSE, "--replicates", "1", "--bound-eps", "0.5", "--bound-eps", "1.5"),
+             "epsilon must lie in (0,1), got 1.5")]},
+    "pathcmp": {
+        "--noise": [((*_PATHCMP, "--noise", v), f"delta must be finite and nonnegative, got {v}")
+                    for v in ("-1.0", "nan", "inf")],
+        "--folds": [((*_PATHCMP, "--folds", v), f"folds must lie in [2, n] = [2, 40], got {v}")
+                    for v in ("0", "1", "50")],
+        "--grid-count": [((*_PATHCMP, "--grid-count", "1"), "grid needs at least 2 points, got 1")],
+        "--grid-span": [((*_PATHCMP, "--grid-span", v),
+                         f"span_decades must be finite and > 0, got {v}")
+                        for v in ("nan", "-1.0", "0.0")],
+        "--lasso-tol": [((*_PATHCMP, "--lasso-tol", v), f"tolerance must be positive, got {v}")
+                        for v in ("-1.0", "nan")],
+        "--lasso-max-iter": [((*_PATHCMP, "--lasso-max-iter", v), f"max_iter must be >= 1, got {v}")
+                             for v in ("-1", "0")],
+        "--cp-iters": [((*_PATHCMP, "--cp-iters", "-1"),
+                        "max_iter must be an integer >= 0, got -1")]},
+    "tv-demo": {
+        "--p1": [(("--p1", v), f"p1 and p2 must be positive integers, got {v} and 8")
+                 for v in ("0", "-2")],
+        "--p2": [(("--p2", "0"), "p1 and p2 must be positive integers, got 8 and 0")],
+        "--obs-frac": [(("--obs-frac", v), f"obs_frac must lie in (0, 1], got {v}")
+                       for v in ("2.0", "-1.0")]},
+}
 
 
-_PATHCMP = ("pathcmp", "--n", "40", "--p", "80", "--s", "6", "--grid-count", "4",
-            "--cp-iters", "5")
+def _bad_input_cases():
+    """The bad values of every flag of every command, as ``cli.build_parser`` lists them.
+
+    ``--out`` is left out: a directory that cannot be made is only found at the first
+    output. A flag with no bad value is a case that fails.
+    """
+    (commands,) = [action.choices for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    for cmd, parser in commands.items():
+        flags = {flag for action in parser._actions for flag in action.option_strings}
+        for flag in sorted(flags - {"-h", "--help", "--out"}):
+            for argv, line in _BAD_IN.get(cmd, {}).get(flag, _BAD.get(flag, [(None, None)])):
+                yield pytest.param(cmd, flag, argv, line,
+                                   id=" ".join((cmd, *(argv or (flag, "(none)")))))
 
 
-@pytest.mark.parametrize("argv, named", [
-    ((*_PATHCMP, "--folds", "0"), "folds must lie in [2, n] = [2, 40], got 0"),
-    ((*_PATHCMP, "--folds", "1"), "folds must lie in [2, n] = [2, 40], got 1"),
-    ((*_PATHCMP, "--folds", "50"), "folds must lie in [2, n] = [2, 40], got 50"),
-    ((*_PATHCMP, "--lasso-max-iter", "-1"), "max_iter must be >= 1, got -1"),
-    ((*_PATHCMP, "--lasso-max-iter", "0"), "max_iter must be >= 1, got 0"),
-    ((*_PATHCMP, "--lasso-tol", "-1"), "tolerance must be positive, got -1.0"),
-    ((*_PATHCMP, "--lasso-tol", "nan"), "tolerance must be positive, got nan"),
-    (("tv-demo", "--obs-frac", "2"), "obs_frac must lie in (0, 1], got 2.0"),
-    (("tv-demo", "--obs-frac", "-1"), "obs_frac must lie in (0, 1], got -1.0"),
-    (("tv-demo", "--p1", "0"), "p1 and p2 must be positive integers, got 0 and 8"),
-    (("tv-demo", "--p1", "-2"), "p1 and p2 must be positive integers, got -2 and 8"),
-    (("bounds", "--n", "30", "--p", "60", "--s", "5", "--max-iter", "0", "--delta", "0.5",
-      "--replicates", "1"), "the bounds hold for k >= 1, so the budget must be >= 1, got 0"),
-], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
-def test_out_of_range_experiment_input_is_an_error(tmp_path, capsys, argv, named):
-    rc = cli.main([*argv, "--out", str(tmp_path / "r")])
-    assert rc == 1
-    assert capsys.readouterr().err == f"error: {named}\n"
-    # the penalty solver checks its own inputs, once the output directory is made
-    assert (tmp_path / "r").exists() == named.startswith(("max_iter", "tolerance"))
-
-
-_SWEEP = ("--n", "30", "--p", "60", "--s", "5", "--replicates", "1")
-
-
-@pytest.mark.parametrize("argv, named", [
-    (("semiconv", *_SWEEP, "--max-iter", "-1"), "max_iter must be an integer >= 0, got -1"),
-    (("stoptime", *_SWEEP, "--record-every", "0"),
-     "record_every must be an integer >= 1, got 0"),
-    (("matcomp", "--d", "6", "--replicates", "1", "--eps", "1.5"),
-     "epsilon must lie in (0,1), got 1.5"),
-    (("bounds", *_SWEEP, "--record-every", "-2"), "record_every must be an integer >= 1, got -2"),
-    (("bounds", *_SWEEP, "--bound-eps", "0.5", "--bound-eps", "1.5"),
-     "epsilon must lie in (0,1), got 1.5"),
-    (("solve", "--n", "10", "--p", "20", "--s", "2", "--record-every", "0"),
-     "record_every must be an integer >= 1, got 0"),
-    (("certify", "--n", "10", "--p", "20", "--s", "2", "--max-iter", "-1"),
-     "max_iter must be an integer >= 0, got -1"),
-    (("tv-demo", "--max-iter", "-1"), "max_iter must be an integer >= 0, got -1"),
-], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
-def test_run_parameter_error_leaves_no_directory(tmp_path, capsys, monkeypatch, argv, named):
-    """The budget, stride and step-size product are checked before any output or certificate."""
+@pytest.mark.filterwarnings("error")  # a warning would be one more line on stderr
+@pytest.mark.parametrize("cmd, flag, argv, line", _bad_input_cases())
+def test_bad_input_is_one_error_line_before_any_output_or_certificate(
+        tmp_path, capsys, monkeypatch, cmd, flag, argv, line):
+    assert argv is not None, f"no bad value of {cmd} {flag} is tested"
 
     def no_certificate(*args, **kwargs):
-        raise AssertionError("certified before the run parameters were checked")
+        raise AssertionError("certified before the input was checked")
 
     monkeypatch.setattr(experiments, "certify", no_certificate)
-    rc = cli.main([*argv, "--out", str(tmp_path / "r")])
-    assert rc == 1
-    assert capsys.readouterr().err == f"error: {named}\n"
-    assert not (tmp_path / "r").exists()
-
-
-@pytest.mark.parametrize("argv, named", [
-    (("solve", "--load", "nowhere"), "problem directory nowhere has no meta.json"),
-    (("certify", "--load", "nowhere"), "problem directory nowhere has no meta.json"),
-    (("solve", "--problem", "matcomp", "--n", "10"),
-     "a matcomp problem takes no parameters ['n']"),
-    (("certify", "--problem", "matcomp", "--n", "10"),
-     "a matcomp problem takes no parameters ['n']"),
-], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
-def test_solve_or_certify_input_error_leaves_no_directory(tmp_path, capsys, monkeypatch,
-                                                          argv, named):
     monkeypatch.chdir(tmp_path)
-    rc = cli.main([*argv, "--out", str(tmp_path / "r")])
+    rc = cli.main([cmd, *argv, "--out", str(tmp_path / "r")])
     assert rc == 1
-    assert capsys.readouterr().err == f"error: {named}\n"
+    assert capsys.readouterr().err == f"error: {line}\n"
     assert not (tmp_path / "r").exists()
+
+
+def test_out_naming_a_file_is_one_error_line(tmp_path, capsys):
+    target = tmp_path / "some_file"
+    target.write_text("kept\n")
+    rc = cli.main(["solve", "--n", "10", "--p", "20", "--s", "2", "--max-iter", "5",
+                   "--out", str(target)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot make the output directory {target}: File exists\n")
+    assert target.read_text() == "kept\n"
 
 
 def test_bounds_worst_ratio_is_null_when_no_bound_is_positive(tmp_path, capsys):
@@ -246,6 +278,7 @@ def test_stoptime_with_an_oracle_stop_at_zero_is_an_assumption_violation(tmp_pat
     err = capsys.readouterr().err
     assert err.startswith("assumption violated: ") and err.count("\n") == 1
     assert "delta=60" in err and "replicate 0" in err
+    assert not (tmp_path / "st").exists()
 
 
 def test_semiconv_command(tmp_path, capsys):
@@ -265,6 +298,7 @@ def test_tv_demo_command(tmp_path, capsys):
                    "--out", str(tmp_path / "tv10")])
     assert rc == 1
     assert "within 10 iterations" in capsys.readouterr().err
+    assert not (tmp_path / "tv10").exists()
 
 
 def test_exit_code_assumption_violated(tmp_path, capsys, monkeypatch):

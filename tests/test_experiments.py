@@ -52,18 +52,22 @@ def test_spec_validation(tmp_path):
         ExperimentSpec(name="x", out_dir=tmp_path, deltas=(-1.0,))
 
 
+@pytest.mark.parametrize("seed", [-1, 2.5, "3"])
+def test_seed_must_be_an_integer_at_least_zero(tmp_path, seed):
+    with pytest.raises(ContractViolation, match=f"^seed must be an integer >= 0, got {seed!r}$"):
+        ExperimentSpec(name="x", out_dir=tmp_path, seed=seed)
+
+
+def test_non_finite_noise_levels_are_named(tmp_path):
+    with pytest.raises(ContractViolation, match=r"finite and nonnegative, got \[nan, inf\]$"):
+        ExperimentSpec(name="x", out_dir=tmp_path, deltas=(0.5, np.nan, np.inf))
+
+
 def test_repeated_noise_levels_are_named(tmp_path):
     with pytest.raises(ContractViolation, match=r"noise levels must be distinct; \[0\.6\] repeat"):
         spec_for(tmp_path, "semiconv", deltas=(0.6, 0.6, 1.2), problem=TINY_SPARSE)
     with pytest.raises(ContractViolation, match=r"\[0\.5, 2\.0\] repeat"):
         spec_for(tmp_path, "bounds", deltas=(2.0, 0.5, 2.0, 0.5))
-
-
-def test_repeated_bound_epsilons_are_named_before_anything_runs(tmp_path):
-    spec = spec_for(tmp_path, "bounds", deltas=(0.5,), problem=TINY_SPARSE)
-    with pytest.raises(ContractViolation, match=r"epsilons must be distinct; \[0\.5\] repeat"):
-        run_bounds(spec, eps_list=(0.5, 0.25, 0.5))
-    assert not spec.out_dir.exists()
 
 
 @pytest.mark.parametrize("runner, problem", [

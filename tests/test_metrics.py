@@ -70,6 +70,17 @@ class TestGap:
         with pytest.raises(CertificateInvalid):
             gap(tiny_bp_cert.w_star, np.zeros(2), broken, X, J)
 
+    def test_gap_of_minus_1e_8_is_beyond_the_clamp(self):
+        from iterreg import SaddleCertificate
+
+        # |L*| = 1, so the clamp is 2e-10; theta* = 0 is no dual solution, and the gap of
+        # w = w* - 1e-8 is J(w) - J(w*) = -1e-8
+        y = np.array([1.0])
+        cert = SaddleCertificate(w_star=y.copy(), theta_star=np.zeros(1), feas_res=0.0,
+                                 subgrad_res=0.0, y=y)
+        with pytest.raises(CertificateInvalid, match="beyond the clamp 2.000e-10"):
+            gap(y - 1e-8, np.zeros(1), cert, identity(1), L1())
+
 
 class TestBregman:
     def test_same_point(self):
@@ -215,6 +226,16 @@ class TestNormBound:
         broken = dataclasses.replace(tiny_l1_cert, theta_star=2.0 * tiny_l1_cert.theta_star)
         with pytest.raises(CertificateInvalid):
             norm_bound_data(prob.X, broken)
+
+    def test_correlation_just_below_one_stays_off_the_active_set(self):
+        from iterreg import SaddleCertificate
+
+        y = np.array([1.0, 0.0])
+        cert = SaddleCertificate(w_star=y.copy(), theta_star=np.array([1.0, 1.0 - 1e-4]),
+                                 feas_res=0.0, subgrad_res=0.0, y=y)
+        gd = norm_bound_data(identity(2), cert)
+        assert gd.gamma_set.tolist() == [0]
+        assert gd.m == pytest.approx(1.0 - 1e-4, rel=1e-15)
 
     def test_rank_deficient_active_set(self):
         from iterreg import SaddleCertificate

@@ -176,6 +176,14 @@ class TestIterate:
         with pytest.raises(ContractViolation):
             next(iterate(X, L1(), np.zeros(2), cfg))
 
+    def test_step_size_product_1e_6_above_epsilon_is_rejected(self):
+        X = identity(2)
+        nu = X.norm_est()
+        step_size = np.sqrt(0.5 * (1.0 + 1e-6)) / nu
+        cfg = SolverConfig(epsilon=0.5, tau=step_size, sigma=step_size, max_iter=3)
+        with pytest.raises(ContractViolation, match="step sizes violate"):
+            next(iterate(X, L1(), np.zeros(2), cfg))
+
     @pytest.mark.parametrize("kind", ["dense-l1", "mask-nuclear"])
     @pytest.mark.parametrize("batch", [None, 3])
     def test_matches_the_plain_numpy_update(self, kind, batch):

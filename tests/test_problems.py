@@ -89,6 +89,18 @@ class TestGenSparse:
         with pytest.raises(ContractViolation):
             gen_sparse(n=5, p=10, s=2, corr=1.0)
 
+    @pytest.mark.parametrize("gen", [gen_sparse, gen_matcomp])
+    @pytest.mark.parametrize("y_norm", [-1.0, np.nan, np.inf])
+    def test_data_norm_must_be_finite_and_nonnegative(self, gen, y_norm):
+        with pytest.raises(ContractViolation,
+                           match=f"^y_norm must be finite and >= 0, got {y_norm}$"):
+            gen(y_norm=y_norm)
+
+    @pytest.mark.parametrize("gen", [gen_sparse, gen_matcomp])
+    def test_data_norm_zero_gives_zero_data(self, gen):
+        prob = gen(y_norm=0.0)
+        assert not np.any(prob.y) and not np.any(prob.ground_truth)
+
 
 class TestGenMatcomp:
     def test_rank_and_norm(self):
@@ -169,10 +181,12 @@ class TestAddNoise:
         with pytest.raises(ContractViolation, match="no observed entry"):
             add_noise(prob, 1.0, seed=0)
 
-    def test_negative_delta_rejected(self):
+    @pytest.mark.parametrize("delta", [-1.0, np.nan, np.inf])
+    def test_negative_or_non_finite_delta_rejected(self, delta):
         prob = gen_sparse(n=5, p=10, s=1, seed=0)
-        with pytest.raises(ContractViolation):
-            add_noise(prob, -1.0, seed=0)
+        with pytest.raises(ContractViolation,
+                           match=f"^delta must be finite and nonnegative, got {delta}$"):
+            add_noise(prob, delta, seed=0)
 
 
 class TestTvReformulate:
