@@ -19,7 +19,6 @@ from .linop import (
     StackedOperator,
     identity,
     op_norm,
-    stack,
 )
 from .metrics import (
     BoundInputs,

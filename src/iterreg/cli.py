@@ -35,18 +35,9 @@ _RUN_FLAGS = {
     "--max-iter": dict(type=int),
     "--record-every": dict(type=int),
     "--delta": dict(type=float, action="append", dest="deltas", metavar="DELTA",
-                    help="noise level (repeatable)"),
+                    help="noise level"),
     "--replicates": dict(type=int),
 }
-
-
-class _Once(argparse.Action):
-    """Store the value as a one-element list; a second occurrence is a usage error."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        if hasattr(namespace, self.dest):
-            parser.error(f"{option_string} may be given only once")
-        setattr(namespace, self.dest, [values])
 
 
 def _command(sub, name, help_text, *run_flags):
@@ -80,9 +71,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = _command(sub, "solve", "run the iteration on a problem and log diagnostics",
-                     "--eps", "--max-iter", "--record-every")
-    solve.add_argument("--delta", type=float, action=_Once, dest="deltas", metavar="DELTA",
-                       help="noise level")
+                     "--eps", "--max-iter", "--record-every", "--delta")
     certify = _command(sub, "certify", "certify the clean saddle pair of a problem", "--max-iter")
     for p in (solve, certify):
         p.add_argument("--problem", choices=("sparse", "matcomp"), dest="kind")

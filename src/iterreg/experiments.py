@@ -73,8 +73,8 @@ class ExperimentSpec:
         self.deltas = tuple(self.deltas)
         if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
             raise ContractViolation(f"seed must be an integer >= 0, got {self.seed!r}")
-        if self.replicates < 1:
-            raise ContractViolation(f"replicates must be >= 1, got {self.replicates}")
+        if not (isinstance(self.replicates, (int, np.integer)) and self.replicates >= 1):
+            raise ContractViolation(f"replicates must be an integer >= 1, got {self.replicates!r}")
         bad = [d for d in self.deltas if not 0 <= d < np.inf]  # NaN included
         if bad:
             raise ContractViolation(f"noise levels must be finite and nonnegative, got {bad}")

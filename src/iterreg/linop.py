@@ -23,7 +23,6 @@ __all__ = [
     "Grad2D",
     "StackedOperator",
     "identity",
-    "stack",
     "op_norm",
 ]
 
@@ -183,8 +182,7 @@ class MaskOperator(LinearOperator):
     def _apply(self, w):
         return (self.gain * w.T).T
 
-    def _adjoint(self, theta):
-        return (self.gain * theta.T).T
+    _adjoint = _apply
 
 
 class Grad2D(LinearOperator):
@@ -282,23 +280,19 @@ class StackedOperator(LinearOperator):
         return out
 
 
-def stack(blocks):
-    """Build a block operator from a list of rows, each a list of operators/None."""
-    return StackedOperator(blocks)
+_NORM_SEED, _NORM_TOL, _NORM_MAX_ITER = 0, 1e-6, 1000  # op_norm's start draw, relative stop, steps
 
 
-def op_norm(op, tol=1e-6, max_iter=1000, seed=0):
+def op_norm(op):
     """Estimate the spectral norm of ``op`` by power iteration on X^T X.
 
     The estimate approaches the true norm from below; the safe upper bound is
     :meth:`LinearOperator.norm_est`. A zero operator yields 0.
     """
-    if tol <= 0:
-        raise ContractViolation(f"op_norm tol must be positive, got {tol}")
-    v = np.random.default_rng(seed).standard_normal(op.in_dim)
+    v = np.random.default_rng(_NORM_SEED).standard_normal(op.in_dim)
     v /= norms(v)
     est = 0.0
-    for _ in range(int(max_iter)):
+    for _ in range(_NORM_MAX_ITER):
         xv = op._apply(v)
         new_est = norms(xv)
         if new_est == 0.0:
@@ -308,7 +302,7 @@ def op_norm(op, tol=1e-6, max_iter=1000, seed=0):
         if nv == 0.0:
             return new_est
         v /= nv
-        if abs(new_est - est) <= tol * new_est:
+        if abs(new_est - est) <= _NORM_TOL * new_est:
             return new_est
         est = new_est
     return est

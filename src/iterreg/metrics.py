@@ -101,8 +101,8 @@ def bregman(J, w, w_ref, g_ref):
         f"Bregman divergence {val:.6e} negative beyond clamp; g_ref is not a subgradient")
 
 
-def gap_equals_bregman_check(w, cert, X, J, tol=1e-10):
-    """Check that the theta-free gap equals the Bregman divergence at w.
+def gap_equals_bregman_check(w, cert, X, J):
+    """Check that the theta-free gap equals the Bregman divergence at w, within 1e-10.
 
     The dual argument of the gap only contributes <theta, y - X w*> = 0 for
     the certificate's clean data y, so it is dropped; what remains must
@@ -112,7 +112,7 @@ def gap_equals_bregman_check(w, cert, X, J, tol=1e-10):
     jw, j_star = J(w), J(cert.w_star)
     lhs = jw + cert.theta_star @ (X.apply(w) - cert.y) - j_star
     rhs = _bregman(jw, j_star, w, cert.w_star, -X.adjoint(cert.theta_star))
-    return bool(abs(lhs - rhs) <= tol)
+    return bool(abs(lhs - rhs) <= 1e-10)
 
 
 def weighted_v(w, theta, tau, sigma):
@@ -194,7 +194,7 @@ def norm_bound_data(X, cert):
     """
     active_tol = 1e-6
     corr = np.abs(X.adjoint(cert.theta_star))
-    if corr.size and float(corr.max()) > 1.0 + active_tol:
+    if float(corr.max()) > 1.0 + active_tol:
         raise CertificateInvalid(
             f"|X^T theta*| reaches {corr.max():.6f} > 1; not dual feasible for l1")
     gamma = np.flatnonzero(corr >= 1.0 - active_tol)
@@ -204,7 +204,7 @@ def norm_bound_data(X, cert):
         raise AssumptionViolated(f"off-support correlation {m:.6f} is not bounded away from 1")
 
     full = X.as_matrix()
-    x_norm = float(np.linalg.svd(full, compute_uv=False)[0]) if full.size else 0.0
+    x_norm = float(np.linalg.svd(full, compute_uv=False)[0])
     if gamma.size == 0:
         return NormBoundData(gamma_set=gamma, m=m, xg_pinv_norm=0.0, x_norm=x_norm)
     sub = full[:, gamma]

@@ -253,15 +253,34 @@ class IterateLog:
 
     @classmethod
     def read_csv(cls, path):
-        """Read a log written by :meth:`write_csv`; the first line must be the schema tag."""
+        """Read a log written by :meth:`write_csv`.
+
+        The first line must be the schema tag and the header must name every
+        log column. A ``k`` that is not an integer, or another cell that is
+        neither a float nor empty, is a ContractViolation naming the file, the
+        line and the column.
+        """
         with open(path, newline="") as fh:
             tag = fh.readline().rstrip("\r\n")
             if tag != CSV_VERSION:
                 raise ContractViolation(f"{path}: first line {tag!r} is not {CSV_VERSION!r}")
-            records = list(csv.DictReader(fh))
-        return cls(k=[int(rec["k"]) for rec in records],
-                   **{c: [np.nan if rec[c] == "" else float(rec[c]) for rec in records]
-                      for c in LOG_COLUMNS[1:]})
+            reader = csv.DictReader(fh)
+            missing = [c for c in LOG_COLUMNS if c not in (reader.fieldnames or ())]
+            if missing:
+                raise ContractViolation(f"{path}: the header has no columns {missing}")
+            records = list(reader)
+
+        def cells(c, parse):
+            out = []
+            for line, rec in enumerate(records, 3):  # after the tag and the header
+                try:
+                    out.append(parse(rec[c]))
+                except (TypeError, ValueError):
+                    raise ContractViolation(f"{path}, line {line}: column {c!r} holds {rec[c]!r}") from None
+            return out
+
+        return cls(k=cells("k", int),
+                   **{c: cells(c, lambda v: np.nan if v == "" else float(v)) for c in LOG_COLUMNS[1:]})
 
     def __len__(self):
         return len(self._k)

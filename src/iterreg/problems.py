@@ -15,7 +15,7 @@ import numpy as np
 
 from .bias import BlockBias, L1, Zero
 from .errors import ContractViolation
-from .linop import DenseOperator, Grad2D, LinearOperator, MaskOperator, stack
+from .linop import DenseOperator, Grad2D, LinearOperator, MaskOperator, StackedOperator
 
 __all__ = [
     "NoisyProblem",
@@ -152,7 +152,7 @@ def tv_reformulate(X, y, p1, p2):
         raise ContractViolation(f"data length {y.shape} != operator range {X.out_dim}")
     grad = Grad2D(p1, p2)
     m = grad.out_dim
-    lifted = stack([[X, None], [grad, DenseOperator(-np.eye(m))]])
+    lifted = StackedOperator([[X, None], [grad, DenseOperator(-np.eye(m))]])
     bias = BlockBias([(Zero(), 0, p1 * p2), (L1(), p1 * p2, p1 * p2 + m)])
     y_lifted = np.concatenate([y, np.zeros(m)])
     return lifted, bias, y_lifted
@@ -181,7 +181,13 @@ def save_problem(prob, out_dir):
 
 
 def load_problem(in_dir):
-    """Inverse of :func:`save_problem`; a missing file but the ground truth is a ContractViolation."""
+    """Inverse of :func:`save_problem`, checking what it reads.
+
+    A missing file but the ground truth, a ``meta.json`` that is not a JSON
+    object or lacks a key or holds one of the wrong type, and a CSV file that does not parse, has the wrong
+    shape or holds a non-finite entry are each one ContractViolation naming
+    the file, and the key or line where one applies.
+    """
     src = Path(in_dir)
 
     def saved(name):
@@ -189,25 +195,54 @@ def load_problem(in_dir):
             raise ContractViolation(f"problem directory {src} has no {name}")
         return src / name
 
-    meta = json.loads(saved("meta.json").read_text())
-    if meta["operator"] == "dense":
-        X = DenseOperator._adopt(np.loadtxt(saved("X.csv"), delimiter=",", ndmin=2))
+    meta_path = saved("meta.json")
+    try:
+        meta = json.loads(meta_path.read_text())
+    except ValueError as exc:
+        raise ContractViolation(f"{meta_path} is not JSON: {exc}") from None
+
+    def key(name, convert=lambda v: v):
+        if not isinstance(meta, dict) or name not in meta:
+            raise ContractViolation(f"{meta_path} has no key {name!r}")
+        try:
+            return convert(meta[name])
+        except (TypeError, ValueError):
+            raise ContractViolation(f"{meta_path}: key {name!r} holds {meta[name]!r}") from None
+
+    if key("operator") == "dense":
+        X = DenseOperator._adopt(_load_csv(saved("X.csv")))
     elif meta["operator"] == "mask":
-        pairs = np.loadtxt(saved("mask.csv"), delimiter=",", ndmin=2, dtype=int)
-        X = MaskOperator(tuple(meta["grid"]), [tuple(p) for p in pairs])
+        mask_path = saved("mask.csv")
+        pairs = _load_csv(mask_path, dtype=int)
+        if pairs.shape[1] != 2:
+            raise ContractViolation(f"{mask_path}: expected 2 entries (i, j) a line, got {pairs.shape[1]}")
+        X = MaskOperator(key("grid", tuple), [tuple(p) for p in pairs])
     else:
         raise ContractViolation(f"unknown operator kind {meta['operator']!r}")
     gt_path = src / "ground_truth.csv"
     return NoisyProblem(X=X, y=_load_vector(saved("y.csv"), X.out_dim),
                         y_delta=_load_vector(saved("y_delta.csv"), X.out_dim),
-                        delta=float(meta["delta"]),
+                        delta=key("delta", float),
                         ground_truth=_load_vector(gt_path, X.in_dim) if gt_path.exists() else None,
-                        seed=int(meta["seed"]), kind=meta["kind"], params=meta["params"])
+                        seed=key("seed", int), kind=key("kind"), params=key("params"))
+
+
+def _load_csv(path, dtype=float):
+    """The rows of the CSV file ``path``; one that does not parse or holds a non-finite entry raises."""
+    try:
+        a = np.loadtxt(path, delimiter=",", ndmin=2, dtype=dtype)
+    except ValueError as exc:
+        raise ContractViolation(f"{path}: {exc}") from None
+    bad = np.argwhere(~np.isfinite(a))
+    if bad.size:
+        row, col = bad[0]
+        raise ContractViolation(f"{path}: line {row + 1} holds the non-finite entry {a[row, col]}")
+    return a
 
 
 def _load_vector(path, dim):
     """The vector stored in ``path``; raises unless it has ``dim`` entries."""
-    v = np.atleast_1d(np.loadtxt(path, delimiter=","))
+    v = np.atleast_1d(_load_csv(path).squeeze())
     if v.shape != (dim,):
         raise ContractViolation(f"{path}: expected {dim} entries, got shape {v.shape}")
     return v

@@ -15,15 +15,22 @@ WIDTH, HEIGHT = 760, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 72, 18, 42, 54
 
 
-def _finite_pairs(xs, ys, logx, logy):
-    out = []
-    for x, y in zip(xs, ys):
-        if not (math.isfinite(x) and math.isfinite(y)):
-            continue
-        if (logx and x <= 0) or (logy and y <= 0):
-            continue
-        out.append((float(x), float(y)))
-    return out
+def _drawable(x, y, logx, logy):
+    """Whether the point (x, y) is drawn: finite, and positive on a log axis."""
+    return math.isfinite(x) and math.isfinite(y) and not (logx and x <= 0) and not (logy and y <= 0)
+
+
+def _axis(values, log, p0, p1):
+    """The range of ``values`` and its map onto pixels p0..p1, affine in the value or its log10.
+
+    One value widens to a range by 1 each way, on a log axis by a factor of 10 each way.
+    """
+    lo, hi = min(values), max(values)
+    if hi == lo:
+        lo, hi = (lo / 10.0, hi * 10.0) if log else (lo - 1.0, hi + 1.0)
+    f = math.log10 if log else float
+    a, b = f(lo), f(hi)
+    return lo, hi, lambda v: p0 + (f(v) - a) / (b - a) * (p1 - p0)
 
 
 def _ticks(lo, hi, log):
@@ -31,13 +38,7 @@ def _ticks(lo, hi, log):
         d0, d1 = math.floor(math.log10(lo)), math.ceil(math.log10(hi))
         step = max(1, (d1 - d0) // 6)
         return [10.0 ** d for d in range(d0, d1 + 1, step)]
-    if hi == lo:
-        return [lo]
     return list(np.linspace(lo, hi, 5))
-
-
-def _fmt(v):
-    return f"{v:.4g}"
 
 
 def line_chart(path, series, title="", xlabel="", ylabel="", logx=False, logy=False,
@@ -46,61 +47,42 @@ def line_chart(path, series, title="", xlabel="", ylabel="", logx=False, logy=Fa
 
     ``series`` is a list of (label, xs, ys); non-finite and non-positive (on
     log scales) points are dropped. ``markers`` is a list of (label, x, y)
-    highlighted points.
+    highlighted points, dropped by the same rule.
     """
-    data = [(label, _finite_pairs(xs, ys, logx, logy)) for label, xs, ys in series]
-    pts = [p for _, pairs in data for p in pairs]
+    data = [(label, [(float(x), float(y)) for x, y in zip(xs, ys) if _drawable(x, y, logx, logy)])
+            for label, xs, ys in series]
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif" font-size="12">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{WIDTH / 2:.1f}" y="20" text-anchor="middle" font-size="14">{escape(title)}</text>',
     ]
+    if any(pairs for _, pairs in data):
+        parts += _plot(data, xlabel, ylabel, logx, logy, markers)
+    else:
+        parts.append(f'<text x="{WIDTH / 2:.1f}" y="{HEIGHT / 2:.1f}" text-anchor="middle">no data</text>')
+    parts.append("</svg>")
+    with open(path, "w") as fh:
+        fh.write("\n".join(parts))
+
+
+def _plot(data, xlabel, ylabel, logx, logy, markers):
+    """The SVG elements of the axes, series and markers of a chart with a drawable point."""
     x0, x1 = MARGIN_L, WIDTH - MARGIN_R
     y0, y1 = HEIGHT - MARGIN_B, MARGIN_T
-
-    if not pts:
-        parts.append(f'<text x="{WIDTH / 2:.1f}" y="{HEIGHT / 2:.1f}" text-anchor="middle">no data</text>')
-        parts.append("</svg>")
-        with open(path, "w") as fh:
-            fh.write("\n".join(parts))
-        return
-
-    xs_all = [p[0] for p in pts]
-    ys_all = [p[1] for p in pts]
-    xlo, xhi = min(xs_all), max(xs_all)
-    ylo, yhi = min(ys_all), max(ys_all)
-    if not logx and xhi == xlo:
-        xlo, xhi = xlo - 1.0, xhi + 1.0
-    if not logy and yhi == ylo:
-        ylo, yhi = ylo - 1.0, yhi + 1.0
-    if logx and xhi == xlo:
-        xlo, xhi = xlo / 10.0, xhi * 10.0
-    if logy and yhi == ylo:
-        ylo, yhi = ylo / 10.0, yhi * 10.0
-
-    def sx(v):
-        t = ((math.log10(v) - math.log10(xlo)) / (math.log10(xhi) - math.log10(xlo))
-             if logx else (v - xlo) / (xhi - xlo))
-        return x0 + t * (x1 - x0)
-
-    def sy(v):
-        t = ((math.log10(v) - math.log10(ylo)) / (math.log10(yhi) - math.log10(ylo))
-             if logy else (v - ylo) / (yhi - ylo))
-        return y0 - t * (y0 - y1)
-
+    xlo, xhi, sx = _axis([x for _, pairs in data for x, _ in pairs], logx, x0, x1)
+    ylo, yhi, sy = _axis([y for _, pairs in data for _, y in pairs], logy, y0, y1)
+    parts = []
     for tx in _ticks(xlo, xhi, logx):
-        if tx < xlo or tx > xhi:
-            continue
-        parts.append(f'<line x1="{sx(tx):.1f}" y1="{y0}" x2="{sx(tx):.1f}" y2="{y1}" '
-                     'stroke="#dddddd" stroke-width="1"/>')
-        parts.append(f'<text x="{sx(tx):.1f}" y="{y0 + 18}" text-anchor="middle">{_fmt(tx)}</text>')
+        if xlo <= tx <= xhi:
+            parts.append(f'<line x1="{sx(tx):.1f}" y1="{y0}" x2="{sx(tx):.1f}" y2="{y1}" '
+                         'stroke="#dddddd" stroke-width="1"/>')
+            parts.append(f'<text x="{sx(tx):.1f}" y="{y0 + 18}" text-anchor="middle">{tx:.4g}</text>')
     for ty in _ticks(ylo, yhi, logy):
-        if ty < ylo or ty > yhi:
-            continue
-        parts.append(f'<line x1="{x0}" y1="{sy(ty):.1f}" x2="{x1}" y2="{sy(ty):.1f}" '
-                     'stroke="#dddddd" stroke-width="1"/>')
-        parts.append(f'<text x="{x0 - 6}" y="{sy(ty) + 4:.1f}" text-anchor="end">{_fmt(ty)}</text>')
+        if ylo <= ty <= yhi:
+            parts.append(f'<line x1="{x0}" y1="{sy(ty):.1f}" x2="{x1}" y2="{sy(ty):.1f}" '
+                         'stroke="#dddddd" stroke-width="1"/>')
+            parts.append(f'<text x="{x0 - 6}" y="{sy(ty) + 4:.1f}" text-anchor="end">{ty:.4g}</text>')
     parts.append(f'<rect x="{x0}" y="{y1}" width="{x1 - x0}" height="{y0 - y1}" '
                  'fill="none" stroke="#333333"/>')
     parts.append(f'<text x="{(x0 + x1) / 2:.1f}" y="{HEIGHT - 14}" text-anchor="middle">{escape(xlabel)}</text>')
@@ -119,14 +101,8 @@ def line_chart(path, series, title="", xlabel="", ylabel="", logx=False, logy=Fa
         parts.append(f'<text x="{x1 - 100}" y="{ly}">{escape(str(label))}</text>')
 
     for label, mx, my in markers:
-        if not (math.isfinite(mx) and math.isfinite(my)):
-            continue
-        if (logx and mx <= 0) or (logy and my <= 0):
-            continue
-        parts.append(f'<circle cx="{sx(mx):.2f}" cy="{sy(my):.2f}" r="3.5" fill="black"/>')
-        if label:
-            parts.append(f'<text x="{sx(mx) + 6:.2f}" y="{sy(my) - 6:.2f}" font-size="10">{escape(str(label))}</text>')
-
-    parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts))
+        if _drawable(mx, my, logx, logy):
+            parts.append(f'<circle cx="{sx(mx):.2f}" cy="{sy(my):.2f}" r="3.5" fill="black"/>')
+            if label:
+                parts.append(f'<text x="{sx(mx) + 6:.2f}" y="{sy(my) - 6:.2f}" font-size="10">{escape(str(label))}</text>')
+    return parts

@@ -1,3 +1,5 @@
+import json
+
 import hypothesis
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from iterreg import (
     gen_matcomp,
     gen_sparse,
     make_config,
+    save_problem,
 )
 
 hypothesis.settings.register_profile(
@@ -47,16 +50,16 @@ def bp_oracle(Xm, y, feas_tol=1e-9):
     return best, best_obj
 
 
-def power_norm(op, tol=1e-6, max_iter=1000, seed=0):
+def power_norm(op):
     """Spectral-norm estimate by power iteration on X^T X, written with np.linalg.norm.
 
-    The reference for ``op_norm``: the same iteration with the same defaults,
-    so the two must agree to the last bit.
+    The reference for ``op_norm``: the same iteration with the same seed (0),
+    tolerance (1e-6) and step budget (1000), so the two must agree to the last bit.
     """
-    v = np.random.default_rng(seed).standard_normal(op.in_dim)
+    v = np.random.default_rng(0).standard_normal(op.in_dim)
     v /= np.linalg.norm(v)
     est = 0.0
-    for _ in range(max_iter):
+    for _ in range(1000):
         xv = op.apply(v)
         new_est = float(np.linalg.norm(xv))
         if new_est == 0.0:
@@ -66,10 +69,57 @@ def power_norm(op, tol=1e-6, max_iter=1000, seed=0):
         if nv == 0.0:
             return new_est
         v /= nv
-        if abs(new_est - est) <= tol * new_est:
+        if abs(new_est - est) <= 1e-6 * new_est:
             return new_est
         est = new_est
     return est
+
+
+def _with_first_cell(row, value):
+    """Text edit: the first cell of line ``row`` (from 1) of a CSV text set to ``value``."""
+    def edit(text):
+        lines = text.splitlines()
+        lines[row - 1] = ",".join([value, *lines[row - 1].split(",")[1:]])
+        return "\n".join(lines) + "\n"
+    return edit
+
+
+# Saved problems each broken in one file: (problem kind, file, edit of the file's text,
+# what load_problem says after the file's path).
+MALFORMED = {
+    "meta-not-json": ("sparse", "meta.json", lambda text: "{",
+                      " is not JSON: Expecting property name enclosed in double quotes: "
+                      "line 1 column 2 (char 1)"),
+    "meta-without-operator": (
+        "sparse", "meta.json",
+        lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "operator"}),
+        " has no key 'operator'"),
+    "meta-delta-not-a-number": (
+        "sparse", "meta.json", lambda text: json.dumps({**json.loads(text), "delta": "abc"}),
+        ": key 'delta' holds 'abc'"),
+    "mask-three-columns": ("matcomp", "mask.csv", lambda text: "0,1,2\n1,2,3\n",
+                           ": expected 2 entries (i, j) a line, got 3"),
+    "mask-not-integer": ("matcomp", "mask.csv", lambda text: "0,1\n1,2.5\n",
+                         ": could not convert string '2.5' to int64 at row 1, column 2."),
+    "X-nan": ("sparse", "X.csv", _with_first_cell(2, "nan"),
+              ": line 2 holds the non-finite entry nan"),
+    "y-inf": ("sparse", "y.csv", _with_first_cell(1, "inf"),
+              ": line 1 holds the non-finite entry inf"),
+    "y_delta-nan": ("sparse", "y_delta.csv", _with_first_cell(3, "nan"),
+                    ": line 3 holds the non-finite entry nan"),
+    "ground_truth-minus-inf": ("sparse", "ground_truth.csv", _with_first_cell(5, "-inf"),
+                               ": line 5 holds the non-finite entry -inf"),
+}
+
+
+def malformed_problem(path, case):
+    """Save a small problem of MALFORMED[case]'s kind to ``path``, break its file, return the error."""
+    kind, name, edit, said = MALFORMED[case]
+    save_problem(gen_sparse(n=4, p=6, s=1, seed=0) if kind == "sparse"
+                 else gen_matcomp(d=4, r=1, obs_frac_denom=2, seed=0), path)
+    broken = path / name
+    broken.write_text(edit(broken.read_text()))
+    return f"{broken}{said}"
 
 
 @pytest.fixture(scope="session")

@@ -11,6 +11,8 @@ from iterreg.errors import AssumptionViolated, BoundViolation, CertificationFail
 from iterreg.experiments import ExperimentSpec
 from iterreg.pdsolver import CSV_VERSION, IterateLog
 
+from conftest import MALFORMED, malformed_problem
+
 
 def run_cli(capsys, *argv):
     rc = cli.main(list(argv))
@@ -154,7 +156,7 @@ _BAD = {
                        for v in ("0", "-2")],
     "--delta": [(("--delta", v), f"noise levels must be finite and nonnegative, got [{v}]")
                 for v in ("-1.0", "nan", "inf")],
-    "--replicates": [(("--replicates", "0"), "replicates must be >= 1, got 0")],
+    "--replicates": [(("--replicates", "0"), "replicates must be an integer >= 1, got 0")],
     "--n": [(("--n", "0", "--p", "60", "--s", "5"),
              "need 0 <= s <= p and 0 < n <= p, got n=0, p=60, s=5")],
     "--p": [(("--n", "30", "--p", "20", "--s", "5"),
@@ -169,13 +171,18 @@ _BAD = {
     "--obs-denom": [(("--obs-denom", "0"), "obs_frac_denom must be >= 1, got 0")],
     "--problem": [(("--problem", "matcomp", "--n", "10"),
                    "a matcomp problem takes no parameters ['n']")],
-    "--load": [(("--load", "nowhere"), "problem directory nowhere has no meta.json")],
+    "--load": [(("--load", "nowhere"), "problem directory nowhere has no meta.json"),
+               # the saved problems of conftest.MALFORMED, each made in the test's directory
+               *[(("--load", case), f"{case}/{name}{said}")
+                 for case, (_, name, _, said) in MALFORMED.items()]],
 }
 _MATCOMP_KIND = {flag: [(("--problem", "matcomp", *argv), line) for argv, line in _BAD[flag]]
                  for flag in ("--d", "--rank", "--obs-denom")}
 # ... but where a command reads it its own way, or takes it alone.
 _BAD_IN = {
-    "solve": _MATCOMP_KIND,
+    "solve": {**_MATCOMP_KIND, "--delta": [
+        *_BAD["--delta"],
+        (("--delta", "1", "--delta", "2"), "solve takes at most one noise level, got [1.0, 2.0]")]},
     "certify": _MATCOMP_KIND,
     "semiconv": {"--delta": [
         *_BAD["--delta"],
@@ -241,6 +248,9 @@ def test_bad_input_is_one_error_line_before_any_output_or_certificate(
 
     monkeypatch.setattr(experiments, "certify", no_certificate)
     monkeypatch.chdir(tmp_path)
+    load = argv[argv.index("--load") + 1] if "--load" in argv else None
+    if load in MALFORMED:
+        malformed_problem(Path(load), load)
     rc = cli.main([cmd, *argv, "--out", str(tmp_path / "r")])
     assert rc == 1
     assert capsys.readouterr().err == f"error: {line}\n"
@@ -344,7 +354,6 @@ def test_parser_rejects_unknown_command():
     *[("pathcmp", flag, "1") for flag in ("--max-iter", "--record-every", "--delta", "--replicates")],
     ("bounds", "--eps", "0.3"),
     ("solve", "--replicates", "2"),
-    ("solve", "--delta", "1", "--delta", "2"),
 ], ids=" ".join)
 def test_parser_rejects_flags_the_runner_does_not_read(argv):
     with pytest.raises(SystemExit) as exc:

@@ -58,6 +58,13 @@ def test_seed_must_be_an_integer_at_least_zero(tmp_path, seed):
         ExperimentSpec(name="x", out_dir=tmp_path, seed=seed)
 
 
+@pytest.mark.parametrize("replicates", [0, -1, 2.5, "3"])
+def test_replicates_must_be_an_integer_at_least_one(tmp_path, replicates):
+    with pytest.raises(ContractViolation,
+                       match=f"^replicates must be an integer >= 1, got {replicates!r}$"):
+        ExperimentSpec(name="x", out_dir=tmp_path, replicates=replicates)
+
+
 def test_non_finite_noise_levels_are_named(tmp_path):
     with pytest.raises(ContractViolation, match=r"finite and nonnegative, got \[nan, inf\]$"):
         ExperimentSpec(name="x", out_dir=tmp_path, deltas=(0.5, np.nan, np.inf))

@@ -8,9 +8,9 @@ from iterreg import (
     DenseOperator,
     Grad2D,
     MaskOperator,
+    StackedOperator,
     identity,
     op_norm,
-    stack,
     tv_reformulate,
 )
 
@@ -21,7 +21,7 @@ def random_operators(rng):
     dense = DenseOperator(rng.standard_normal((5, 9)))
     mask = MaskOperator((3, 4), [(0, 0), (1, 2), (2, 3)])
     grad = Grad2D(3, 4)
-    stacked = stack([[identity(12), None], [grad, DenseOperator(-np.eye(24))]])
+    stacked = StackedOperator([[identity(12), None], [grad, DenseOperator(-np.eye(24))]])
     return [dense, mask, grad, stacked]
 
 
@@ -114,16 +114,12 @@ class TestOpNorm:
     def test_never_smaller_than_observed_gain(self):
         rng = np.random.default_rng(3)
         op = DenseOperator(rng.standard_normal((6, 10)))
-        est = op_norm(op, tol=1e-8)
+        est = op_norm(op)
         true = np.linalg.svd(op.matrix, compute_uv=False)[0]
         for _ in range(100):
             w = rng.standard_normal(10)
             w /= np.linalg.norm(w)
             assert est >= np.linalg.norm(op.apply(w)) - 1e-8 * true
-
-    def test_bad_tol(self):
-        with pytest.raises(ContractViolation):
-            op_norm(identity(2), tol=0.0)
 
     def test_norm_est_is_the_safe_bound(self):
         """The one home of the 1.01 safety factor, exact for every operator kind."""
@@ -137,7 +133,6 @@ class TestOpNorm:
         rng = np.random.default_rng(seed)
         for op in random_operators(rng) + [DenseOperator(rng.standard_normal((40, 90)))]:
             assert op_norm(op) == power_norm(op), op
-            assert op_norm(op, tol=1e-10, seed=seed) == power_norm(op, tol=1e-10, seed=seed), op
 
 
 def test_grad2d_constant_image_is_zero():
@@ -154,14 +149,14 @@ def test_grad2d_hand_values():
 
 class TestStack:
     def test_single_block_is_identity(self):
-        op = stack([[identity(2)]])
+        op = StackedOperator([[identity(2)]])
         v = np.array([4.0, -2.0])
         assert np.array_equal(op.apply(v), v)
         assert np.array_equal(op.adjoint(v), v)
 
     def test_tv_block_hand_values(self):
         grad = Grad2D(2, 2)
-        op = stack([[identity(4), None], [grad, DenseOperator(-np.eye(8))]])
+        op = StackedOperator([[identity(4), None], [grad, DenseOperator(-np.eye(8))]])
         w_img = np.array([1.0, 2.0, 3.0, 4.0])
         u = np.arange(1.0, 9.0)
         out = op.apply(np.concatenate([w_img, u]))
@@ -169,17 +164,17 @@ class TestStack:
         assert np.allclose(out[4:], grad.apply(w_img) - u)
 
     def test_dims_sum_of_children(self):
-        op = stack([[identity(3)], [DenseOperator(np.ones((2, 3)))]])
+        op = StackedOperator([[identity(3)], [DenseOperator(np.ones((2, 3)))]])
         assert op.in_dim == 3
         assert op.out_dim == 5
 
     def test_incompatible_blocks(self):
         with pytest.raises(ContractViolation):
-            stack([[identity(2), identity(3)], [identity(3), None]])
+            StackedOperator([[identity(2), identity(3)], [identity(3), None]])
 
     def test_all_zero_column_rejected(self):
         with pytest.raises(ContractViolation):
-            stack([[identity(2), None], [identity(2), None]])
+            StackedOperator([[identity(2), None], [identity(2), None]])
 
 
 def test_as_matrix_matches_apply():

@@ -508,6 +508,9 @@ class TestColumns:
         assert np.all(np.isnan(log.column("j_val")))
 
 
+_HEAD = "k,res_clean,res_noisy,j_val,dist_ref,gap,bregman,res_avg_clean,dist_avg_ref,gap_avg"
+
+
 class TestIterateLog:
     def test_rows_must_increase(self):
         IterateLog(k=[0], res_clean=[1.0], res_noisy=[1.0], j_val=[0.0])
@@ -533,12 +536,25 @@ class TestIterateLog:
 
     @pytest.mark.parametrize("tag", [None, "# iterreg-csv v2"])
     def test_read_requires_schema_tag(self, tmp_path, tag):
-        body = ("k,res_clean,res_noisy,j_val,dist_ref,gap,bregman,res_avg_clean,"
-                "dist_avg_ref,gap_avg\n0,1.5,1.25,0.5,,,,,,\n")
+        body = f"{_HEAD}\n0,1.5,1.25,0.5,,,,,,\n"
         path = tmp_path / "log.csv"
         path.write_text(body if tag is None else f"{tag}\n{body}")
         with pytest.raises(ContractViolation, match="iterreg-csv v1"):
             IterateLog.read_csv(path)
+
+    @pytest.mark.parametrize("head, row, said", [
+        ("k,res_noisy,j_val,dist_ref,gap,bregman,res_avg_clean,dist_avg_ref,gap_avg",
+         "0,1.25,0.5,,,,,,", "{path}: the header has no columns ['res_clean']"),
+        (_HEAD, "0.5,1.5,1.25,0.5,,,,,,", "{path}, line 3: column 'k' holds '0.5'"),
+        (_HEAD, "0,1.5,abc,0.5,,,,,,", "{path}, line 3: column 'res_noisy' holds 'abc'"),
+        (_HEAD, "0,1.5,1.25,0.5,,,,,", "{path}, line 3: column 'gap_avg' holds None"),
+    ], ids=["missing column", "fractional k", "text cell", "short row"])
+    def test_read_names_the_file_and_the_column_it_cannot_read(self, tmp_path, head, row, said):
+        path = tmp_path / "log.csv"
+        path.write_text(f"# iterreg-csv v1\n{head}\n{row}\n")
+        with pytest.raises(ContractViolation) as exc:
+            IterateLog.read_csv(path)
+        assert str(exc.value) == said.format(path=path)
 
     def test_numpy_scalars_written_as_numbers(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -20,6 +20,8 @@ from iterreg import (
     tv_reformulate,
 )
 
+from conftest import MALFORMED, malformed_problem
+
 
 class TestGenSparse:
     def test_shapes_and_invariants(self):
@@ -290,3 +292,10 @@ class TestSerialization:
         save_problem(gen_sparse(n=8, p=12, s=2, seed=7), tmp_path / "prob")
         (tmp_path / "prob" / "ground_truth.csv").unlink()
         assert load_problem(tmp_path / "prob").ground_truth is None
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_malformed_file_is_one_contract_violation_naming_it(self, tmp_path, case):
+        said = malformed_problem(tmp_path / "prob", case)
+        with pytest.raises(ContractViolation) as exc:
+            load_problem(tmp_path / "prob")
+        assert str(exc.value) == said
