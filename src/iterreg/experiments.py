@@ -372,19 +372,10 @@ def run_pathcmp(spec):
 
     lasso_mse, cp_mse, paths = [], [], []
     for test_idx in np.array_split(perm, params["folds"]):
-        train_idx = np.setdiff1d(perm, test_idx)
-        X_tr = DenseOperator._adopt(Xm[train_idx])
-        y_tr = y_obs[train_idx]
-        X_te, y_te = Xm[test_idx], y_obs[test_idx]
-        cfg = _config(X_tr, spec, max_iter=params["cp_iters"])
-        grid = lambda_grid(X_tr, y_tr, count=params["grid_count"],
-                           span_decades=params["grid_span"])
-        path = lasso_path(X_tr, y_tr, grid, tol=params["lasso_tol"],
-                          max_iter=params["lasso_max_iter"])
+        grid, path, lasso_row, cp_row = _pathcmp_fold(Xm, y_obs, J, perm, test_idx, spec, params)
         paths.append(path)
-        lasso_mse.append([float(np.mean((X_te @ w - y_te) ** 2)) for w in path.solutions])
-        cp_mse.append([float(np.mean((X_te @ state.w - y_te) ** 2))
-                       for state in iterate(X_tr, J, y_tr, cfg)])
+        lasso_mse.append(lasso_row)
+        cp_mse.append(cp_row)
     lasso_mse, cp_mse = np.array(lasso_mse), np.array(cp_mse)
     lasso_iters = np.mean([path.inner_iters for path in paths], axis=0)
     lasso_mean = lasso_mse.mean(axis=0)
@@ -429,6 +420,28 @@ def run_pathcmp(spec):
                markers=[(f"best={cp_mean[k_best]:.3f}", float(k_best), cp_mean[k_best])],
                title="iteration path: held-out MSE", xlabel="iteration", ylabel="MSE")
     return summary
+
+
+def _pathcmp_fold(Xm, y_obs, J, perm, test_idx, spec, params):
+    """One fold of ``run_pathcmp``: its penalty grid, its penalty path, and the
+    held-out MSE along that path and along the iterations.
+
+    A function of its own so that the fold's training copy of ``Xm`` is freed
+    before the next fold makes its own.
+    """
+    train_idx = np.setdiff1d(perm, test_idx)
+    X_tr = DenseOperator._adopt(Xm[train_idx])
+    y_tr = y_obs[train_idx]
+    X_te, y_te = Xm[test_idx], y_obs[test_idx]
+    cfg = _config(X_tr, spec, max_iter=params["cp_iters"])
+    grid = lambda_grid(X_tr, y_tr, count=params["grid_count"],
+                       span_decades=params["grid_span"])
+    path = lasso_path(X_tr, y_tr, grid, tol=params["lasso_tol"],
+                      max_iter=params["lasso_max_iter"])
+    lasso_row = [float(np.mean((X_te @ w - y_te) ** 2)) for w in path.solutions]
+    cp_row = [float(np.mean((X_te @ state.w - y_te) ** 2))
+              for state in iterate(X_tr, J, y_tr, cfg)]
+    return grid, path, lasso_row, cp_row
 
 
 def run_tvdemo(spec):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -228,11 +229,15 @@ def load_problem(in_dir):
 
 
 def _load_csv(path, dtype=float):
-    """The rows of the CSV file ``path``; one that does not parse or holds a non-finite entry raises."""
+    """The rows of the CSV file ``path``; one that is empty, does not parse or holds a non-finite entry raises."""
     try:
-        a = np.loadtxt(path, delimiter=",", ndmin=2, dtype=dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # numpy's "no data" warning; the error follows
+            a = np.loadtxt(path, delimiter=",", ndmin=2, dtype=dtype)
     except ValueError as exc:
         raise ContractViolation(f"{path}: {exc}") from None
+    if not a.size:
+        raise ContractViolation(f"{path} holds no data")
     bad = np.argwhere(~np.isfinite(a))
     if bad.size:
         row, col = bad[0]

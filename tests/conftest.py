@@ -109,6 +109,8 @@ MALFORMED = {
                     ": line 3 holds the non-finite entry nan"),
     "ground_truth-minus-inf": ("sparse", "ground_truth.csv", _with_first_cell(5, "-inf"),
                                ": line 5 holds the non-finite entry -inf"),
+    "X-empty": ("sparse", "X.csv", lambda text: "", " holds no data"),
+    "y-empty": ("sparse", "y.csv", lambda text: "", " holds no data"),
 }
 
 

@@ -1,8 +1,11 @@
-"""What ``line_chart`` draws: the points it keeps, the ranges it spans, and the empty chart."""
+"""What ``line_chart`` draws: the points it keeps, the ranges it spans, the text it escapes,
+and the empty chart."""
 
 import math
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
+import numpy as np
 import pytest
 
 from iterreg.svgplot import HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, WIDTH, line_chart
@@ -56,6 +59,40 @@ def test_a_one_value_range_widens(tmp_path, log, value, ticks):
     labels = texts(root)
     for tick in ticks:
         assert labels.count(tick) == 2, tick  # once on each axis
+
+
+@pytest.mark.parametrize("xs, ys, tick", [
+    ([1e20], [1.0], "1e+20"),  # 1e20 - 1 == 1e20: widened by its float spacing instead
+    ([1.0], [-1e300], "-1e+300"),
+])
+def test_a_one_value_range_beyond_the_spacing_of_one_widens(tmp_path, xs, ys, tick):
+    root = chart(tmp_path, [("s", xs, ys)])
+    assert polyline_points(root) == [[(MID_X, MID_Y)]]
+    assert texts(root).count(tick) == 5
+
+
+def test_text_is_escaped_as_saxutils_escapes_it(tmp_path):
+    text = """a & b < c > d "e" 'f' &amp;"""
+    path = tmp_path / "c.svg"
+    line_chart(path, [(text + " series", [1.0, 2.0], [1.0, 2.0])], title=text + " title",
+               xlabel=text + " x", ylabel=text + " y", markers=[(text + " marker", 1.0, 1.0)])
+    svg = path.read_text()
+    for part in ("title", "x", "y", "series", "marker"):
+        assert f">{escape(f'{text} {part}')}</text>" in svg, part
+    assert {f"{text} {part}" for part in ("title", "x", "y", "series", "marker")} <= set(
+        texts(ET.parse(path).getroot()))
+
+
+@pytest.mark.parametrize("logx, logy", [(False, False), (True, True)])
+def test_lists_and_arrays_draw_the_same_bytes(tmp_path, logx, logy):
+    xs = [0.5, 1.0, math.nan, 2.0, -1.0, 4.0, 0.0, 8.0]
+    ys = [3.0, -0.0, 1.0, math.inf, 2.0, 0.25, 5.0, 1.5]
+    markers = [("m", 2.0, 1.0), ("zero", 0.0, 1.0)]
+    as_lists, as_arrays = tmp_path / "lists.svg", tmp_path / "arrays.svg"
+    line_chart(as_lists, [("s", xs, ys), ("t", ys, xs)], markers=markers, logx=logx, logy=logy)
+    line_chart(as_arrays, [("s", np.array(xs), np.array(ys)), ("t", np.array(ys), np.array(xs))],
+               markers=markers, logx=logx, logy=logy)
+    assert as_lists.read_bytes() == as_arrays.read_bytes()
 
 
 @pytest.mark.parametrize("series, logy", [
