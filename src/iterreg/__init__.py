@@ -23,12 +23,10 @@ from .linop import (
 from .metrics import (
     BoundInputs,
     NormBoundData,
-    bregman,
     gap,
     gap_equals_bregman_check,
     norm_bound,
     norm_bound_data,
-    lagrangian,
     stability_feas_bound,
     stability_gap_bound,
     weighted_v,

@@ -68,18 +68,18 @@ def solve_tikhonov(X, J, y, lam, w_init=None, tol=1e-8, max_iter=20000):
 
 @dataclass
 class PathResult:
-    """Solutions along a descending penalty grid, with per-step work counts."""
+    """Solutions along a descending penalty grid, with per-step work counts and nonzero counts."""
 
     lambdas: list
     solutions: list
     inner_iters: list
     objectives: list
     converged: list
+    nnz: list
 
     def write_csv(self, path):
         write_csv(path, ("lambda", "inner_iters", "objective", "nnz"),
-                  ((lam, it, obj, int(np.count_nonzero(w))) for lam, it, obj, w
-                   in zip(self.lambdas, self.inner_iters, self.objectives, self.solutions)))
+                  zip(self.lambdas, self.inner_iters, self.objectives, self.nnz))
 
 
 def lasso_path(X, y, grid, tol=1e-8, max_iter=20000):
@@ -90,7 +90,8 @@ def lasso_path(X, y, grid, tol=1e-8, max_iter=20000):
     J = L1()
     y = np.asarray(y, dtype=float)
     w = np.zeros(X.in_dim)
-    out = PathResult(lambdas=[], solutions=[], inner_iters=[], objectives=[], converged=[])
+    out = PathResult(lambdas=[], solutions=[], inner_iters=[], objectives=[], converged=[],
+                     nnz=[])
     for lam in grid:
         sol = solve_tikhonov(X, J, y, lam, w_init=w, tol=tol, max_iter=max_iter)
         w = sol.w
@@ -100,4 +101,5 @@ def lasso_path(X, y, grid, tol=1e-8, max_iter=20000):
         out.inner_iters.append(sol.iters)
         out.objectives.append(float(lam * J(w) + r @ r))
         out.converged.append(sol.converged)
+        out.nnz.append(int(np.count_nonzero(w)))
     return out

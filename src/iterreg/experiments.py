@@ -427,7 +427,7 @@ def _pathcmp_fold(Xm, y_obs, J, perm, test_idx, spec, params):
     held-out MSE along that path and along the iterations.
 
     A function of its own so that the fold's training copy of ``Xm`` is freed
-    before the next fold makes its own.
+    before the next fold makes its own; the path comes back without its solutions.
     """
     train_idx = np.setdiff1d(perm, test_idx)
     X_tr = DenseOperator._adopt(Xm[train_idx])
@@ -439,6 +439,7 @@ def _pathcmp_fold(Xm, y_obs, J, perm, test_idx, spec, params):
     path = lasso_path(X_tr, y_tr, grid, tol=params["lasso_tol"],
                       max_iter=params["lasso_max_iter"])
     lasso_row = [float(np.mean((X_te @ w - y_te) ** 2)) for w in path.solutions]
+    path.solutions.clear()  # scored; the fold CSV reads only the nonzero counts
     cp_row = [float(np.mean((X_te @ state.w - y_te) ** 2))
               for state in iterate(X_tr, J, y_tr, cfg)]
     return grid, path, lasso_row, cp_row

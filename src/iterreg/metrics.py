@@ -1,4 +1,4 @@
-"""Lagrangian, duality gap, Bregman divergence, and checkable error bounds.
+"""Duality gap, Bregman divergence, and checkable error bounds.
 
 All quantities here are taken with respect to the clean data y; a
 :class:`~iterreg.pdsolver.SaddleCertificate` stands in for the exact saddle
@@ -8,17 +8,16 @@ point wherever one is needed, and then its ``y`` is the clean data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .bias import L1, _per_column, subgradient_residual
+from .bias import L1, _per_column
 from .errors import AssumptionViolated, CertificateInvalid, ContractViolation
 
 __all__ = [
-    "lagrangian",
     "raw_gap",
     "gap",
-    "bregman",
     "gap_equals_bregman_check",
     "weighted_v",
     "BoundInputs",
@@ -30,11 +29,15 @@ __all__ = [
 ]
 
 
-def lagrangian(w, theta, X, J, y):
-    """L(w, theta) = J(w) + <theta, X w - y>."""
-    w = np.asarray(w, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    return float(J(w) + theta @ (X.apply(w) - y))
+class _Reference:
+    """J(w*), X w* - y and the subgradient -X^T theta* of ``cert``, each computed on first read."""
+
+    def __init__(self, cert, X, J):
+        self.cert, self.X, self.J = cert, X, J
+
+    j_star = cached_property(lambda self: self.J(self.cert.w_star))
+    r_star = cached_property(lambda self: self.X.apply(self.cert.w_star) - self.cert.y)
+    g_star = cached_property(lambda self: -self.X.adjoint(self.cert.theta_star))
 
 
 def raw_gap(jw, xw, theta, j_star, theta_star, y, r_star):
@@ -45,8 +48,7 @@ def raw_gap(jw, xw, theta, j_star, theta_star, y, r_star):
     whose columns pair up; then ``jw`` holds J of each column of w, ``y`` is a
     (dim, 1) column, and the result has one value per column. At theta =
     theta* the value is the Bregman divergence D_J(w, w*) at the subgradient
-    -X^T theta*. The gap and Bregman columns of an iterate log are these raw
-    values.
+    -X^T theta*. The gap columns of an iterate log are these raw values.
     """
     return jw - j_star + theta_star @ (xw - y) - r_star @ theta
 
@@ -58,15 +60,12 @@ def gap(w, theta, cert, X, J):
     footprint of a numerical certificate) are clamped to 0; anything more
     negative means the certificate is not a saddle point and raises.
     """
-    w = np.asarray(w, dtype=float)
-    j_star = J(cert.w_star)
-    r_star = X.apply(cert.w_star) - cert.y
-    val = float(raw_gap(J(w), X.apply(w), np.asarray(theta, dtype=float), j_star,
-                        cert.theta_star, cert.y, r_star))
+    w, ref = np.asarray(w, dtype=float), _Reference(cert, X, J)
+    val = float(raw_gap(J(w), X.apply(w), np.asarray(theta, dtype=float), ref.j_star,
+                        cert.theta_star, cert.y, ref.r_star))
     if val >= 0.0:
         return val
-    l_star = j_star + float(cert.theta_star @ r_star)
-    clamp = 1e-10 * (1.0 + abs(l_star))
+    clamp = 1e-10 * (1.0 + abs(ref.j_star + float(cert.theta_star @ ref.r_star)))  # L(w*, theta*)
     if val > -clamp:
         return 0.0
     raise CertificateInvalid(
@@ -75,43 +74,22 @@ def gap(w, theta, cert, X, J):
 
 
 def _bregman(jw, j_ref, w, w_ref, g_ref):
-    """J(w) - J(w_ref) - <g_ref, w - w_ref>, from J(w) = ``jw`` and J(w_ref) = ``j_ref``."""
+    """D_J(w, w_ref) = ``jw`` - ``j_ref`` - <g_ref, w - w_ref>, column-wise for a stack ``w``."""
     return jw - j_ref - g_ref @ (w - w_ref)
-
-
-def bregman(J, w, w_ref, g_ref):
-    """D_J(w, w_ref) for the subgradient g_ref of J at w_ref.
-
-    Raises if the subgradient residual of g_ref at w_ref exceeds 1e-6. The
-    result is clamped to 0 when within 1e-10-scale noise below zero.
-    """
-    w = np.asarray(w, dtype=float)
-    w_ref = np.asarray(w_ref, dtype=float)
-    g_ref = np.asarray(g_ref, dtype=float)
-    if subgradient_residual(J, w_ref, g_ref) > 1e-6:
-        raise ContractViolation("g_ref is not a subgradient of J at w_ref")
-    jw, jr = J(w), J(w_ref)
-    val = float(_bregman(jw, jr, w, w_ref, g_ref))
-    if val >= 0.0:
-        return float(val)
-    clamp = 1e-10 * (1.0 + abs(jw) + abs(jr))
-    if val > -clamp:
-        return 0.0
-    raise ContractViolation(
-        f"Bregman divergence {val:.6e} negative beyond clamp; g_ref is not a subgradient")
 
 
 def gap_equals_bregman_check(w, cert, X, J):
     """Check that the theta-free gap equals the Bregman divergence at w, within 1e-10.
 
-    The dual argument of the gap only contributes <theta, y - X w*> = 0 for
-    the certificate's clean data y, so it is dropped; what remains must
-    coincide with D_J(w, w*) taken at the subgradient -X^T theta*.
+    The theta-free gap L(w, theta*) - L(w*, 0) must coincide with D_J(w, w*) at
+    the subgradient -X^T theta*. The two differ by <theta*, X w* - y> whatever
+    w is, so the verdict is the certificate's, the same at every w.
     """
-    w = np.asarray(w, dtype=float)
-    jw, j_star = J(w), J(cert.w_star)
-    lhs = jw + cert.theta_star @ (X.apply(w) - cert.y) - j_star
-    rhs = _bregman(jw, j_star, w, cert.w_star, -X.adjoint(cert.theta_star))
+    w, ref = np.asarray(w, dtype=float), _Reference(cert, X, J)
+    jw = J(w)
+    lhs = raw_gap(jw, X.apply(w), np.zeros(X.out_dim), ref.j_star, cert.theta_star, cert.y,
+                  ref.r_star)
+    rhs = _bregman(jw, ref.j_star, w, cert.w_star, ref.g_star)
     return bool(abs(lhs - rhs) <= 1e-10)
 
 
@@ -193,7 +171,7 @@ def norm_bound_data(X, cert):
     |X^T theta*|_inf <= 1).
     """
     active_tol = 1e-6
-    corr = np.abs(X.adjoint(cert.theta_star))
+    corr = np.abs(_Reference(cert, X, L1()).g_star)
     if float(corr.max()) > 1.0 + active_tol:
         raise CertificateInvalid(
             f"|X^T theta*| reaches {corr.max():.6f} > 1; not dual feasible for l1")
@@ -218,9 +196,8 @@ def norm_bound_data(X, cert):
 
 def norm_bound(w, cert, bound_data, X):
     """Norm-distance bound for l1: clean residual term plus weighted l1 Bregman term."""
-    w, l1 = np.asarray(w, dtype=float), L1()
+    w, ref = np.asarray(w, dtype=float), _Reference(cert, X, L1())
     res = float(np.linalg.norm(X.apply(w) - cert.y))
-    g_ref = -X.adjoint(cert.theta_star)
-    d = max(float(_bregman(l1(w), l1(cert.w_star), w, cert.w_star, g_ref)), 0.0)
+    d = max(float(_bregman(ref.J(w), ref.j_star, w, cert.w_star, ref.g_star)), 0.0)
     return (bound_data.xg_pinv_norm * res
             + (1.0 + bound_data.xg_pinv_norm * bound_data.x_norm) / (1.0 - bound_data.m) * d)

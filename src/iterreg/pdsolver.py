@@ -35,7 +35,7 @@ import numpy as np
 from .bias import subgradient_residual
 from .errors import CertificationFailure, ContractViolation, NumericalFailure
 from .linop import as_vector, norms
-from .metrics import raw_gap
+from .metrics import _bregman, _Reference, raw_gap
 
 __all__ = [
     "SolverConfig",
@@ -290,10 +290,11 @@ class _Recorder:
     """Fills the asked-for log columns at the recorded iterations, all columns of a stack at once.
 
     Values go into arrays preallocated for the k of :func:`recorded_iterations`;
-    the gap and bregman columns are raw values of
-    :func:`~iterreg.metrics.raw_gap`. It computes only what its columns read:
-    J(w), J of the averaged w, J(w*), and the running sums of w, theta and X w
-    over k >= 1, which :meth:`summed` keeps from every state.
+    the gap columns are raw values of :func:`~iterreg.metrics.raw_gap`, and the
+    bregman column is the Bregman divergence at -X^T theta*. It computes only
+    what its columns read: J(w), J of the averaged w, the reference terms, and
+    the running sums of w, theta and X w over k >= 1, which :meth:`summed`
+    keeps from every state.
     """
 
     def __init__(self, X, J, y_obs, cfg, reference, columns):
@@ -312,10 +313,7 @@ class _Recorder:
             col = (-1, 1) if batch else (-1,)
             self.y_clean = reference.y.reshape(col)
             self.w_star = reference.w_star.reshape(col)
-            self.theta_star = reference.theta_star
-            if not asked.isdisjoint(("gap", "bregman", "gap_avg")):
-                self.j_star = J(reference.w_star)
-                self.r_star = X.apply(reference.w_star) - reference.y
+            self.ref = _Reference(reference, X, J)
 
     def summed(self, states):
         """Yield ``states``, each added to the running sums once k >= 1."""
@@ -326,7 +324,8 @@ class _Recorder:
             yield state
 
     def _gap(self, jw, xw, theta):
-        return raw_gap(jw, xw, theta, self.j_star, self.theta_star, self.y_clean, self.r_star)
+        ref = self.ref
+        return raw_gap(jw, xw, theta, ref.j_star, ref.cert.theta_star, self.y_clean, ref.r_star)
 
     def record(self, row, state):
         w, theta, xw, k = state.w, state.theta, state.xw, state.k
@@ -340,7 +339,7 @@ class _Recorder:
             "j_val": lambda: jw,
             "dist_ref": lambda: norms(w - self.w_star),
             "gap": lambda: self._gap(jw, xw, theta),
-            "bregman": lambda: self._gap(jw, xw, self.theta_star),
+            "bregman": lambda: _bregman(jw, self.ref.j_star, w, self.w_star, self.ref.g_star),
             "res_avg_clean": lambda: norms(avg["xw"] - self.y_clean),
             "dist_avg_ref": lambda: norms(avg["w"] - self.w_star),
             "gap_avg": lambda: self._gap(self.J(avg["w"]), avg["xw"], avg["theta"]),

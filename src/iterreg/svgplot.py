@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -28,12 +29,15 @@ def _axis(values, log, p0, p1):
     """The range of ``values`` and its map onto pixels p0..p1, affine in the value or its log10.
 
     One value v widens to a range by 1 each way, or by its float spacing where v - 1
-    and v + 1 both round to v (from |v| = 2**53 on); on a log axis by a factor of 10 each way.
+    and v + 1 both round to v (from |v| = 2**53 on); on a log axis by a factor of 10 each
+    way, or on a side where that leaves the positive finite floats, by its float spacing
+    up to the last of them.
     """
     # the first of equal extremes, as min and max take it, so that a range ending at 0 keeps its sign
     lo, hi = float(values[np.argmin(values)]), float(values[np.argmax(values)])
     if hi == lo and log:
-        lo, hi = lo / 10.0, hi * 10.0
+        lo = lo / 10.0 if lo / 10.0 > 0.0 else max(lo - math.ulp(lo), math.ulp(0.0))
+        hi = hi * 10.0 if hi * 10.0 < math.inf else min(hi + math.ulp(hi), sys.float_info.max)
     elif hi == lo:
         step = 1.0 if lo - 1.0 < lo + 1.0 else math.ulp(lo)
         lo, hi = lo - step, hi + step
@@ -44,7 +48,8 @@ def _axis(values, log, p0, p1):
 
 def _ticks(lo, hi, log):
     if log:
-        d0, d1 = math.floor(math.log10(lo)), math.ceil(math.log10(hi))
+        d0 = math.floor(math.log10(lo))
+        d1 = min(math.ceil(math.log10(hi)), sys.float_info.max_10_exp)  # 10.0 ** 309 overflows
         step = max(1, (d1 - d0) // 6)
         return [10.0 ** d for d in range(d0, d1 + 1, step)]
     return list(np.linspace(lo, hi, 5))

@@ -11,7 +11,6 @@ from iterreg import (
     DenseOperator,
     L1,
     SqL2,
-    bregman,
     certify,
     gap,
     gap_equals_bregman_check,
@@ -20,30 +19,13 @@ from iterreg import (
     norm_bound_data,
     identity,
     iterate,
-    lagrangian,
     make_config,
     run,
     stability_feas_bound,
     stability_gap_bound,
     weighted_v,
 )
-
-
-class TestLagrangian:
-    def test_zero_point(self):
-        X, J = identity(2), L1()
-        y = np.array([2.0, -1.0])
-        theta = np.array([3.0, 4.0])
-        assert lagrangian(np.zeros(2), theta, X, J, y) == pytest.approx(-(theta @ y))
-
-    def test_at_certificate_equals_bias_value(self, tiny_bp, tiny_bp_cert):
-        X, J, y = tiny_bp
-        val = lagrangian(tiny_bp_cert.w_star, tiny_bp_cert.theta_star, X, J, y)
-        assert val == pytest.approx(J(tiny_bp_cert.w_star), abs=1e-10)
-
-    def test_hand_value(self):
-        assert lagrangian(np.array([1.0]), np.array([2.0]), identity(1), L1(),
-                          np.array([0.0])) == pytest.approx(3.0)
+from iterreg.metrics import _bregman
 
 
 class TestGap:
@@ -82,23 +64,15 @@ class TestGap:
             gap(y - 1e-8, np.zeros(1), cert, identity(1), L1())
 
 
-class TestBregman:
-    def test_same_point(self):
-        assert bregman(L1(), np.array([1.0, 0.0]), np.array([1.0, 0.0]),
-                       np.array([1.0, 0.0])) == 0.0
-
-    def test_same_sign_pattern_is_zero(self):
-        assert bregman(L1(), np.array([2.0, 0.0]), np.array([1.0, 0.0]),
-                       np.array([1.0, 0.0])) == pytest.approx(0.0, abs=1e-12)
-
-    def test_flipped_sign_hand_value(self):
-        assert bregman(L1(), np.array([-1.0, 0.0]), np.array([1.0, 0.0]),
-                       np.array([1.0, 0.0])) == pytest.approx(2.0)
-
-    def test_rejects_non_subgradient(self):
-        with pytest.raises(ContractViolation):
-            bregman(L1(), np.array([1.0, 0.0]), np.array([1.0, 0.0]),
-                    np.array([0.2, 0.0]))
+@pytest.mark.parametrize("w, want", [
+    ([1.0, 0.0], 0.0),   # the reference point itself
+    ([2.0, 0.0], 0.0),   # same sign pattern
+    ([-1.0, 0.0], 2.0),  # flipped sign: |-1| - 1 - 1 * (-1 - 1)
+])
+def test_l1_bregman_hand_values(w, want):
+    w_ref = np.array([1.0, 0.0])
+    w = np.array(w)
+    assert _bregman(L1()(w), L1()(w_ref), w, w_ref, np.array([1.0, 0.0])) == want
 
 
 class TestGapBregmanIdentity:
@@ -116,6 +90,17 @@ class TestGapBregmanIdentity:
     def test_flipped_signs(self, tiny_bp, tiny_bp_cert):
         X, J, y = tiny_bp
         assert gap_equals_bregman_check(-tiny_bp_cert.w_star, tiny_bp_cert, X, J)
+
+    @pytest.mark.parametrize("w", [0.0, 3.0, -2.0])
+    @pytest.mark.parametrize("r, holds", [(2e-10, False), (5e-11, True)])
+    def test_threshold_is_1e_10(self, w, r, holds):
+        """The two sides differ by <theta*, X w* - y> = -r for every w, so r sets the verdict."""
+        from iterreg import SaddleCertificate
+
+        y = np.array([1.0])
+        cert = SaddleCertificate(w_star=y + r, theta_star=np.array([-1.0]), feas_res=r,
+                                 subgrad_res=0.0, y=y)
+        assert gap_equals_bregman_check(np.array([w]), cert, identity(1), L1()) is holds
 
 
 class TestWeightedV:
@@ -324,5 +309,5 @@ def test_log_gap_columns_match_gap_and_bregman(small_sql2, small_sql2_cert):
     for st, raw_g, raw_b in zip(states, log.column("gap"), log.column("bregman")):
         assert max(raw_g, 0.0) == pytest.approx(gap(st.w, st.theta, cert, X, J),
                                                 rel=1e-9, abs=1e-12)
-        assert max(raw_b, 0.0) == pytest.approx(bregman(J, st.w, cert.w_star, g_ref),
-                                                rel=1e-9, abs=1e-12)
+        assert raw_b == pytest.approx(J(st.w) - J(cert.w_star) - g_ref @ (st.w - cert.w_star),
+                                      rel=1e-9, abs=1e-12)

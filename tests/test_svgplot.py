@@ -71,6 +71,22 @@ def test_a_one_value_range_beyond_the_spacing_of_one_widens(tmp_path, xs, ys, ti
     assert texts(root).count(tick) == 5
 
 
+@pytest.mark.parametrize("xs, ys, logx, point, ticks", [
+    # 10 v overflows, so the top end widens by the float spacing of v, and v lands on it
+    ([1e308], [1.0], True, (WIDTH - MARGIN_R, MID_Y), ["1e+307", "1e+308"]),
+    ([1.7e308], [1.0], True, (WIDTH - MARGIN_R, MID_Y), ["1e+308"]),
+    ([1.0], [1e308], False, (MID_X, MARGIN_T), ["1e+307", "1e+308"]),
+    # v / 10 rounds to 0 and v is the least positive float, so the bottom end stays at v
+    ([5e-324], [1.0], True, (MARGIN_L, MID_Y), ["9.881e-324"]),
+])
+def test_a_one_value_log_range_at_the_ends_of_the_floats_widens(tmp_path, xs, ys, logx,
+                                                                 point, ticks):
+    root = chart(tmp_path, [("s", xs, ys)], logx=logx, logy=not logx)
+    assert polyline_points(root) == [[point]]
+    for tick in ticks:
+        assert tick in texts(root)
+
+
 def test_text_is_escaped_as_saxutils_escapes_it(tmp_path):
     text = """a & b < c > d "e" 'f' &amp;"""
     path = tmp_path / "c.svg"
