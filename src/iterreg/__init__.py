@@ -17,7 +17,6 @@ from .linop import (
     LinearOperator,
     MaskOperator,
     StackedOperator,
-    identity,
     op_norm,
 )
 from .metrics import (

@@ -24,9 +24,9 @@ import numpy as np
 from .baseline import lambda_grid, lasso_path
 from .bias import L1, Nuclear
 from .errors import AssumptionViolated, BoundViolation, ContractViolation
-from .linop import DenseOperator, Grad2D, MaskOperator, norms
+from .linop import DenseOperator, Grad2D, MaskOperator
 from .metrics import BoundInputs, stability_feas_bound, stability_gap_bound, weighted_v
-from .pdsolver import certify, iterate, make_config, recorded, recorded_iterations, run, write_csv
+from .pdsolver import certify, iterate, make_config, run, write_csv
 from .problems import add_noise, gen_matcomp, gen_sparse, load_problem, save_problem, tv_reformulate
 from .stopping import oracle_stop
 from .svgplot import line_chart
@@ -124,8 +124,7 @@ def _problem(kind, seed, params, load=None):
     else:
         raise ContractViolation(f"unknown problem kind {kind!r}")
     if prob.kind == "matcomp":
-        d = prob.params["d"]
-        return prob, Nuclear(d, d)
+        return prob, Nuclear(*prob.X.grid_shape)
     return prob, L1()
 
 
@@ -180,9 +179,8 @@ def _distance_curves(spec, kind, deltas):
         first, last = float(dist[0]), float(dist[-1])
         interior = bool(ks[0] < k_star < ks[-1]
                         and d_star <= 0.99 * first and d_star <= 0.99 * last)
-        margin = min(first, last) / d_star - 1.0 if d_star > 0 else np.inf
-        summary_rows.append((delta, rep, k_star, d_star, first, last,
-                             int(interior), float(margin)))
+        margin = min(first, last) / d_star - 1.0 if d_star > 0 else None
+        summary_rows.append((delta, rep, k_star, d_star, first, last, int(interior), margin))
         if rep == 0:
             svg_series.append((f"delta={delta:g}", ks.astype(float), dist))
             svg_marks.append((f"k*={k_star}", float(k_star), float(d_star)))
@@ -192,7 +190,7 @@ def _distance_curves(spec, kind, deltas):
         per_delta[delta] = {"mean_min_dist": float(np.mean([r[3] for r in rows])),
                             "interior": [bool(r[6]) for r in rows],
                             "k_star": [int(r[2]) for r in rows],
-                            "margins": [float(r[7]) for r in rows]}
+                            "margins": [r[7] for r in rows]}
     name, out = spec.name, _output_dir(spec)
     write_csv(out / f"{name}_curves.csv",
               ("delta", "replicate", "k", "dist", "dist_avg"),
@@ -231,9 +229,8 @@ def run_stoptime(spec):
     """Oracle stopping time versus noise level, with a straight-line fit."""
     spec, X, J, (cfg,), cert, Y, labels = _noisy_sweep(spec, "sparse",
                                                        tuple(np.linspace(0.1, 6.0, 20)))
-    k_stars, d_stars = _oracle_stops(X, J, Y, cfg, cert.w_star)
-    raw_rows = [(delta, rep, k, d)
-                for (delta, rep), k, d in zip(labels, k_stars.tolist(), d_stars.tolist())]
+    logs = run(X, J, Y, cfg, reference=cert, columns=("dist_ref",))
+    raw_rows = [(delta, rep, *oracle_stop(log)) for (delta, rep), log in zip(labels, logs)]
     for delta, rep, k, _ in raw_rows:
         if k == 0:
             raise AssumptionViolated(
@@ -248,7 +245,7 @@ def run_stoptime(spec):
     mean_k, mean_inv = [row[1] for row in sum_rows], [row[2] for row in sum_rows]
     deltas = np.asarray(spec.deltas, dtype=float)
     inv = np.asarray(mean_inv)
-    if len(deltas) >= 2:
+    if len(set(mean_inv)) > 1:  # else no line is fitted: one level, or no change in 1/k*
         design = np.vstack([deltas, np.ones_like(deltas)]).T
         (slope, intercept), *_ = np.linalg.lstsq(design, inv, rcond=None)
         pearson = float(np.corrcoef(deltas, inv)[0, 1])
@@ -276,25 +273,6 @@ def run_stoptime(spec):
                xlabel="delta", ylabel="mean 1/k*")
     return {"fit": fit, "mean_inv_kstar": mean_inv, "mean_kstar": mean_k,
             "deltas": list(map(float, deltas))}
-
-
-def _oracle_stops(X, J, Y, cfg, w_star):
-    """Oracle k* and distance ||w_k* - w*|| of each column of Y.
-
-    These are what ``oracle_stop`` finds in the log of that column recorded at
-    ``cfg.record_every``, the first minimum winning; only the running minimum
-    of each column is kept, not its log.
-    """
-    best_k = np.zeros(Y.shape[1], dtype=int)
-    best_d = np.full(Y.shape[1], np.inf)
-    w_star = w_star[:, None]
-    ks = recorded_iterations(cfg.record_every, cfg.max_iter)
-    for state in recorded(iterate(X, J, Y, cfg), ks):
-        d = norms(state.w - w_star)
-        better = d < best_d
-        best_k[better] = state.k
-        best_d[better] = d[better]
-    return best_k, best_d
 
 
 def run_bounds(spec, eps_list=None):

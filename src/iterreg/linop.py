@@ -22,7 +22,6 @@ __all__ = [
     "MaskOperator",
     "Grad2D",
     "StackedOperator",
-    "identity",
     "op_norm",
 ]
 
@@ -144,11 +143,6 @@ class DenseOperator(LinearOperator):
 
     def columns(self, idx):
         return self.matrix[:, np.asarray(idx, dtype=int)]
-
-
-def identity(dim):
-    """Identity operator on R^dim."""
-    return DenseOperator(np.eye(int(dim)))
 
 
 class MaskOperator(LinearOperator):

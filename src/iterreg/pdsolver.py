@@ -10,10 +10,10 @@ constrained by sigma * tau * ||X||^2 <= epsilon < 1.
 
 ``iterate`` yields the states k = 0..max_iter and is the one loop over
 ``step``; ``recorded`` is the one walk over them, yielding the states at the
-k of ``recorded_iterations`` that ``run`` records, ``certify`` checks and the
-stoptime oracle reads. ``y_obs`` is one data vector or an (n, B) stack of B
-right-hand sides; a stack runs as the B columns of one iteration, w and theta
-becoming (p, B) and (n, B) arrays, and every update acts column by column.
+k of ``recorded_iterations`` that ``run`` records and ``certify`` checks.
+``y_obs`` is one data vector or an (n, B) stack of B right-hand sides; a
+stack runs as the B columns of one iteration, w and theta becoming (p, B)
+and (n, B) arrays, and every update acts column by column.
 ``run`` records per-iteration diagnostics into an :class:`IterateLog` (one
 per column of a stack), including the averages over w_1..w_k and
 theta_1..theta_k that the rate and stability guarantees attach to, and
@@ -22,6 +22,9 @@ iteration on clean data until the pair, or the bias's polish of it, satisfies
 the saddle-point conditions (feasibility plus subgradient inclusion) at tight
 tolerances, producing the reference, and the clean data, that every clean
 residual, gap and distance metric reads.
+
+The experiments, stoptime included, read each run's oracle stop k* from the
+``dist_ref`` column of its log, through :func:`~iterreg.stopping.oracle_stop`.
 """
 
 from __future__ import annotations
@@ -251,37 +254,6 @@ class IterateLog:
     def write_csv(self, path):
         write_csv(path, LOG_COLUMNS, self._records())
 
-    @classmethod
-    def read_csv(cls, path):
-        """Read a log written by :meth:`write_csv`.
-
-        The first line must be the schema tag and the header must name every
-        log column. A ``k`` that is not an integer, or another cell that is
-        neither a float nor empty, is a ContractViolation naming the file, the
-        line and the column.
-        """
-        with open(path, newline="") as fh:
-            tag = fh.readline().rstrip("\r\n")
-            if tag != CSV_VERSION:
-                raise ContractViolation(f"{path}: first line {tag!r} is not {CSV_VERSION!r}")
-            reader = csv.DictReader(fh)
-            missing = [c for c in LOG_COLUMNS if c not in (reader.fieldnames or ())]
-            if missing:
-                raise ContractViolation(f"{path}: the header has no columns {missing}")
-            records = list(reader)
-
-        def cells(c, parse):
-            out = []
-            for line, rec in enumerate(records, 3):  # after the tag and the header
-                try:
-                    out.append(parse(rec[c]))
-                except (TypeError, ValueError):
-                    raise ContractViolation(f"{path}, line {line}: column {c!r} holds {rec[c]!r}") from None
-            return out
-
-        return cls(k=cells("k", int),
-                   **{c: cells(c, lambda v: np.nan if v == "" else float(v)) for c in LOG_COLUMNS[1:]})
-
     def __len__(self):
         return len(self._k)
 
@@ -398,7 +370,8 @@ def certify(X, J, y, cfg=None, feas_tol=None, subgrad_tol=1e-6, check_every=50):
     ``check_every``, an integer >= 1, but k = 0, the last being ``cfg.max_iter``. When the
     iterate fails them, the check also tries the bias's polish of the pair
     (:meth:`~iterreg.bias.Bias.polish`), accepted under the same tolerances. Defaults: feas_tol = 1e-9 * max(1, ||y||),
-    subgrad_tol = 1e-6. Raises :class:`CertificationFailure` with the best
+    subgrad_tol = 1e-6; a tolerance that is NaN or negative is a ContractViolation
+    before the first step. Raises :class:`CertificationFailure` with the best
     residuals of the iterates, the iterations that reached them and the
     residuals of every check if the tolerances are not reached within
     ``cfg.max_iter``. The default ``cfg`` is ``make_config(X)`` with a budget
@@ -410,6 +383,9 @@ def certify(X, J, y, cfg=None, feas_tol=None, subgrad_tol=1e-6, check_every=50):
     checks = recorded_iterations(check_every, cfg.max_iter)[1:]  # k = 0 is not checked
     if feas_tol is None:
         feas_tol = 1e-9 * max(1.0, float(np.linalg.norm(y)))
+    for name, tol in (("feas_tol", feas_tol), ("subgrad_tol", subgrad_tol)):
+        if not tol >= 0:  # NaN included: no residual could pass it
+            raise ContractViolation(f"{name} must be >= 0, got {tol}")
     # every check's residuals, in compact arrays: a certification can make thousands
     feas_hist, sub_hist = array("d"), array("d")
 

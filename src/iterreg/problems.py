@@ -185,7 +185,9 @@ def load_problem(in_dir):
     """Inverse of :func:`save_problem`, checking what it reads.
 
     A missing file but the ground truth, a ``meta.json`` that is not a JSON
-    object or lacks a key or holds one of the wrong type, and a CSV file that does not parse, has the wrong
+    object or lacks a key or holds one of the wrong type (a ``grid`` that is
+    not two positive integers, a ``matcomp`` kind over an operator other
+    than the mask), and a CSV file that does not parse, has the wrong
     shape or holds a non-finite entry are each one ContractViolation naming
     the file, and the key or line where one applies.
     """
@@ -217,15 +219,27 @@ def load_problem(in_dir):
         pairs = _load_csv(mask_path, dtype=int)
         if pairs.shape[1] != 2:
             raise ContractViolation(f"{mask_path}: expected 2 entries (i, j) a line, got {pairs.shape[1]}")
-        X = MaskOperator(key("grid", tuple), [tuple(p) for p in pairs])
+        X = MaskOperator(key("grid", _grid), [tuple(p) for p in pairs])
     else:
-        raise ContractViolation(f"unknown operator kind {meta['operator']!r}")
+        raise ContractViolation(f"{meta_path}: key 'operator' holds {meta['operator']!r}")
+    kind = key("kind")
+    if kind == "matcomp" and not isinstance(X, MaskOperator):
+        raise ContractViolation(f"{meta_path}: key 'kind' holds 'matcomp' over a "
+                                f"{meta['operator']!r} operator, not a mask")
     gt_path = src / "ground_truth.csv"
     return NoisyProblem(X=X, y=_load_vector(saved("y.csv"), X.out_dim),
                         y_delta=_load_vector(saved("y_delta.csv"), X.out_dim),
                         delta=key("delta", float),
                         ground_truth=_load_vector(gt_path, X.in_dim) if gt_path.exists() else None,
-                        seed=key("seed", int), kind=key("kind"), params=key("params"))
+                        seed=key("seed", int), kind=kind, params=key("params"))
+
+
+def _grid(value):
+    """The grid shape ``value`` as a tuple; raises ValueError unless it is two positive integers."""
+    if not (isinstance(value, list) and len(value) == 2
+            and all(type(v) is int and v > 0 for v in value)):
+        raise ValueError(value)
+    return tuple(value)
 
 
 def _load_csv(path, dtype=float):

@@ -50,6 +50,11 @@ def bp_oracle(Xm, y, feas_tol=1e-9):
     return best, best_obj
 
 
+def identity(dim):
+    """Identity operator on R^dim."""
+    return DenseOperator(np.eye(int(dim)))
+
+
 def power_norm(op):
     """Spectral-norm estimate by power iteration on X^T X, written with np.linalg.norm.
 
@@ -84,6 +89,11 @@ def _with_first_cell(row, value):
     return edit
 
 
+def _meta_with(**keys):
+    """Text edit: a meta.json with ``keys`` set."""
+    return lambda text: json.dumps({**json.loads(text), **keys})
+
+
 # Saved problems each broken in one file: (problem kind, file, edit of the file's text,
 # what load_problem says after the file's path).
 MALFORMED = {
@@ -94,9 +104,22 @@ MALFORMED = {
         "sparse", "meta.json",
         lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "operator"}),
         " has no key 'operator'"),
-    "meta-delta-not-a-number": (
-        "sparse", "meta.json", lambda text: json.dumps({**json.loads(text), "delta": "abc"}),
-        ": key 'delta' holds 'abc'"),
+    "meta-delta-not-a-number": ("sparse", "meta.json", _meta_with(delta="abc"),
+                                ": key 'delta' holds 'abc'"),
+    "meta-unknown-operator": ("sparse", "meta.json", _meta_with(operator="sparse"),
+                              ": key 'operator' holds 'sparse'"),
+    "meta-matcomp-over-dense": ("sparse", "meta.json", _meta_with(kind="matcomp"),
+                                ": key 'kind' holds 'matcomp' over a 'dense' operator, not a mask"),
+    "meta-matcomp-over-dense-list-params": (
+        "sparse", "meta.json", _meta_with(kind="matcomp", params=[1]),
+        ": key 'kind' holds 'matcomp' over a 'dense' operator, not a mask"),
+    "meta-grid-text": ("matcomp", "meta.json", _meta_with(grid="ab"), ": key 'grid' holds 'ab'"),
+    "meta-grid-one-entry": ("matcomp", "meta.json", _meta_with(grid=[4]),
+                            ": key 'grid' holds [4]"),
+    "meta-grid-fraction": ("matcomp", "meta.json", _meta_with(grid=[4.7, 4]),
+                           ": key 'grid' holds [4.7, 4]"),
+    "meta-grid-zero": ("matcomp", "meta.json", _meta_with(grid=[0, 4]),
+                       ": key 'grid' holds [0, 4]"),
     "mask-three-columns": ("matcomp", "mask.csv", lambda text: "0,1,2\n1,2,3\n",
                            ": expected 2 entries (i, j) a line, got 3"),
     "mask-not-integer": ("matcomp", "mask.csv", lambda text: "0,1\n1,2.5\n",

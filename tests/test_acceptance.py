@@ -24,7 +24,6 @@ from iterreg import (
     gen_sparse,
     norm_bound,
     norm_bound_data,
-    identity,
     initial_state,
     make_config,
     run,
@@ -33,7 +32,7 @@ from iterreg import (
 from iterreg.experiments import ExperimentSpec, child_seed, run_matcomp, run_pathcmp, run_semiconv, run_stoptime
 from iterreg.metrics import BoundInputs, stability_feas_bound, stability_gap_bound, weighted_v
 
-from conftest import bp_oracle
+from conftest import bp_oracle, identity
 
 
 def report(name, ok, detail):

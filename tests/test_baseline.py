@@ -6,14 +6,13 @@ from iterreg import (
     DenseOperator,
     L1,
     gen_sparse,
-    identity,
     lambda_grid,
     lasso_path,
     soft_threshold,
     solve_tikhonov,
 )
 
-from conftest import bp_oracle
+from conftest import bp_oracle, identity
 
 
 class TestLambdaGrid:

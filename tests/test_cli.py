@@ -1,4 +1,5 @@
 import argparse
+import csv
 import dataclasses
 import json
 from pathlib import Path
@@ -6,10 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from iterreg import cli, experiments, gen_matcomp
+from iterreg import cli, experiments, gen_matcomp, save_problem
 from iterreg.errors import AssumptionViolated, BoundViolation, CertificationFailure
 from iterreg.experiments import ExperimentSpec
-from iterreg.pdsolver import CSV_VERSION, IterateLog
+from iterreg.pdsolver import CSV_VERSION
 
 from conftest import MALFORMED, malformed_problem
 
@@ -49,10 +50,13 @@ def test_solve_log_holds_only_the_columns_that_need_no_certificate(tmp_path, cap
     rc, _ = run_cli(capsys, "solve", "--delta", "1", "--max-iter", "20",
                     "--out", str(tmp_path / "s"))
     assert rc == 0
-    log = IterateLog.read_csv(tmp_path / "s" / "log.csv")
-    assert np.all(np.isnan(log.column("res_clean")))
-    assert np.all(np.isfinite(log.column("res_noisy")))
-    assert np.all(np.isfinite(log.column("j_val")))
+    with open(tmp_path / "s" / "log.csv", newline="") as fh:
+        assert fh.readline() == CSV_VERSION + "\n"
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 21
+    assert all(row["res_clean"] == "" for row in rows)
+    assert np.all(np.isfinite([float(row["res_noisy"]) for row in rows]))
+    assert np.all(np.isfinite([float(row["j_val"]) for row in rows]))
 
 
 def test_solve_then_certify_loaded_problem(tmp_path, capsys):
@@ -66,6 +70,17 @@ def test_solve_then_certify_loaded_problem(tmp_path, capsys):
     meta = json.loads(out)
     assert meta["feas_res"] <= 1e-8
     assert np.loadtxt(tmp_path / "c" / "cert_w.csv", delimiter=",").shape == (20,)
+
+
+def test_loaded_matcomp_problem_takes_its_nuclear_shape_from_the_grid(tmp_path, capsys):
+    save_problem(gen_matcomp(d=4, r=1, obs_frac_denom=2, seed=0), tmp_path / "p")
+    meta = tmp_path / "p" / "meta.json"
+    saved = json.loads(meta.read_text())
+    meta.write_text(json.dumps({**saved, "params": {**saved["params"], "d": 3}}))
+    rc, out = run_cli(capsys, "solve", "--load", str(tmp_path / "p"), "--max-iter", "5",
+                      "--out", str(tmp_path / "s"))
+    assert rc == 0
+    assert json.loads(out)["iterations"] == 5
 
 
 def test_certify_polishes_the_seed_1_sparse_instance(tmp_path, capsys):
@@ -277,6 +292,30 @@ def test_bounds_worst_ratio_is_null_when_no_bound_is_positive(tmp_path, capsys):
     expected = {"violations": 0, "worst_gap_ratio": None, "worst_feas_ratio": None}
     assert json.loads(out) == expected
     assert json.loads((tmp_path / "b" / "bounds_summary.json").read_text()) == expected
+
+
+def _strict(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+@pytest.mark.parametrize("argv, read, undefined, csv_name", [
+    # clean data of norm 0: the best distance is 0, so no margin is defined
+    (("semiconv", "--n", "10", "--p", "20", "--s", "2", "--y-norm", "0", "--max-iter", "10",
+      "--replicates", "1", "--delta", "0.5"),
+     lambda summary: summary["per_delta"]["0.5"]["margins"], [None], "semiconv_summary.csv"),
+    # two iterations at low noise: k* = 2 at both levels, so no line is fitted
+    (("stoptime", "--n", "10", "--p", "20", "--s", "2", "--delta", "0.01", "--delta", "0.02",
+      "--replicates", "1", "--max-iter", "2"),
+     lambda summary: list(summary["fit"].values()), [None] * 4, "stoptime_fit.csv"),
+], ids=["semiconv margin", "stoptime fit"])
+def test_an_undefined_value_is_null_and_an_empty_cell(tmp_path, capsys, argv, read, undefined,
+                                                      csv_name):
+    rc = cli.main([*argv, "--out", str(tmp_path / "r")])
+    out, err = capsys.readouterr()
+    assert (rc, err) == (0, "")
+    assert read(json.loads(out, parse_constant=_strict)) == undefined
+    last = (tmp_path / "r" / csv_name).read_text().splitlines()[-1]
+    assert last.split(",")[-len(undefined):] == [""] * len(undefined)
 
 
 def test_stoptime_with_an_oracle_stop_at_zero_is_an_assumption_violation(tmp_path, capsys):

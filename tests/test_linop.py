@@ -9,12 +9,11 @@ from iterreg import (
     Grad2D,
     MaskOperator,
     StackedOperator,
-    identity,
     op_norm,
     tv_reformulate,
 )
 
-from conftest import power_norm
+from conftest import identity, power_norm
 
 
 def random_operators(rng):

@@ -17,7 +17,6 @@ from iterreg import (
     gen_sparse,
     norm_bound,
     norm_bound_data,
-    identity,
     iterate,
     make_config,
     run,
@@ -26,6 +25,8 @@ from iterreg import (
     weighted_v,
 )
 from iterreg.metrics import _bregman
+
+from conftest import identity
 
 
 class TestGap:

@@ -20,7 +20,7 @@ from iterreg import (
     tv_reformulate,
 )
 
-from conftest import MALFORMED, malformed_problem
+from conftest import MALFORMED, identity, malformed_problem
 
 
 class TestGenSparse:
@@ -213,8 +213,6 @@ class TestTvReformulate:
                 1 + np.linalg.norm(w) * np.linalg.norm(th))
 
     def test_constant_image_fully_observed(self):
-        from iterreg import identity
-
         image = np.full(9, 2.5)
         X = identity(9)
         lifted, bias, y_lifted = tv_reformulate(X, image.copy(), 3, 3)
