@@ -39,7 +39,7 @@ def _per_column(total):
 
 
 def _check_tau(tau):
-    if tau < 0:
+    if not tau >= 0:
         raise ContractViolation(f"prox scale must be nonnegative, got {tau}")
 
 
@@ -125,7 +125,9 @@ class SqL2(Bias):
 class Nuclear(Bias):
     """Nuclear norm of the p1 x p2 reshaping; prox is singular-value shrinkage.
 
-    A stack of B vectors is reshaped to B matrices, which share one stacked SVD.
+    A stack of B vectors is reshaped to B matrices. J sums singular values from one
+    stacked SVD. The prox shrinks through one stacked eigh of the smaller Gram matrix:
+    a kept (or crossing) singular value moves by about eps * s_1^2 / (2 * tau).
     """
 
     def __init__(self, p1, p2):
@@ -146,9 +148,12 @@ class Nuclear(Bias):
         V = self._as_matrices(v)
         if tau == 0:
             return np.array(v, dtype=float)
-        U, s, Vt = np.linalg.svd(V, full_matrices=False)
-        out = (U * np.maximum(s - tau, 0.0)[..., None, :]) @ Vt
-        return out.reshape(V.shape[:-2] + (-1,)).T
+        M = np.swapaxes(V, -1, -2) if self.p1 < self.p2 else V
+        lam, Q = np.linalg.eigh(np.swapaxes(M, -1, -2) @ M)
+        s = np.sqrt(np.maximum(lam, 0.0))
+        f = np.maximum(s - tau, 0.0) / np.maximum(s, tau)  # (s - tau)_+ / s; 0 at tau = inf
+        out = (M @ (Q * f[..., None, :])) @ np.swapaxes(Q, -1, -2)
+        return (out if M is V else np.swapaxes(out, -1, -2)).reshape(V.shape[:-2] + (-1,)).T
 
     def __repr__(self):
         return f"Nuclear({self.p1}, {self.p2})"

@@ -249,7 +249,7 @@ def run_stoptime(spec):
         design = np.vstack([deltas, np.ones_like(deltas)]).T
         (slope, intercept), *_ = np.linalg.lstsq(design, inv, rcond=None)
         pearson = float(np.corrcoef(deltas, inv)[0, 1])
-        rel_intercept = float(abs(intercept) / (abs(slope) * (deltas[-1] - deltas[0])))
+        rel_intercept = float(abs(intercept) / (abs(slope) * np.ptp(deltas)))
         fit = {"slope": float(slope), "intercept": float(intercept),
                "pearson_r": pearson, "rel_intercept": rel_intercept}
         fit_rows = [(fit["slope"], fit["intercept"], fit["pearson_r"], fit["rel_intercept"])]

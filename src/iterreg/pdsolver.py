@@ -89,7 +89,7 @@ class SolverConfig:
     def __post_init__(self):
         if not (0.0 < self.epsilon < 1.0):
             raise ContractViolation(f"epsilon must lie in (0,1), got {self.epsilon}")
-        if self.tau <= 0 or self.sigma <= 0:
+        if not (self.tau > 0 and self.sigma > 0):
             raise ContractViolation(f"step sizes must be positive, got tau={self.tau}, sigma={self.sigma}")
         for name, least in (("max_iter", 0), ("record_every", 1)):
             value = getattr(self, name)
@@ -106,6 +106,8 @@ def make_config(X, epsilon=0.99, max_iter=5000, record_every=1):
     nu = X.norm_est()
     if nu == 0.0:
         raise ContractViolation("cannot pick step sizes for the zero operator")
+    if not np.isfinite(nu):
+        raise ContractViolation(f"cannot pick step sizes from the non-finite norm estimate {nu}")
     with np.errstate(invalid="ignore"):  # a negative epsilon is for SolverConfig to reject
         step_size = float(np.sqrt(epsilon) / nu)
     return SolverConfig(epsilon=float(epsilon), tau=step_size, sigma=step_size,
@@ -179,7 +181,7 @@ def iterate(X, J, y_obs, cfg):
     """
     y_obs = as_vector(y_obs, X.out_dim, "y_obs", columns=True)
     nu = X.norm_est()
-    if cfg.sigma * cfg.tau * nu * nu > cfg.epsilon * (1.0 + 1e-9):
+    if not cfg.sigma * cfg.tau * nu * nu <= cfg.epsilon * (1.0 + 1e-9):
         raise ContractViolation(
             f"step sizes violate sigma*tau*||X||^2 <= epsilon: "
             f"{cfg.sigma * cfg.tau * nu * nu:.6g} > {cfg.epsilon}")

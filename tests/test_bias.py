@@ -63,10 +63,11 @@ class TestProx:
             v = rng.standard_normal(dim)
             assert np.allclose(J.prox(0.0, v), v, atol=1e-12)
 
-    def test_negative_tau_rejected(self):
+    @pytest.mark.parametrize("tau", [-0.1, np.nan])
+    def test_negative_or_nan_tau_rejected(self, tau):
         for J, dim in ALL_KINDS:
-            with pytest.raises(ContractViolation):
-                J.prox(-0.1, np.zeros(dim))
+            with pytest.raises(ContractViolation, match="prox scale must be nonnegative"):
+                J.prox(tau, np.zeros(dim))
 
     def test_nuclear_bad_length(self):
         with pytest.raises(ContractViolation):
@@ -154,6 +155,53 @@ def test_svt_preserves_singular_subspaces():
                 assert abs(Vt[i] @ Vto[i]) == pytest.approx(1.0, abs=1e-8)
 
 
+def _svt_reference(p1, p2, tau, v):
+    """Singular-value shrinkage of one p1 x p2 matrix through its SVD."""
+    U, s, Vt = np.linalg.svd(np.reshape(v, (p1, p2)), full_matrices=False)
+    return ((U * np.maximum(s - tau, 0.0)) @ Vt).ravel()
+
+
+def _nuclear_cases(p1, p2):
+    """(tau, vector) pairs: full rank, rank one, repeated singular values, zero."""
+    rng = np.random.default_rng(p1 * 10 + p2)
+    k = min(p1, p2)
+    full = 3.0 * rng.standard_normal((p1, p2))
+    rank_one = np.outer(rng.standard_normal(p1), rng.standard_normal(p2))
+    Q1 = np.linalg.qr(rng.standard_normal((p1, k)))[0]
+    Q2 = np.linalg.qr(rng.standard_normal((p2, k)))[0]
+    repeated = Q1 @ np.diag([2.0] * (k - 1) + [0.5]) @ Q2.T
+    s_full = np.linalg.svd(full, compute_uv=False)
+    for M in (full, rank_one, repeated, np.zeros((p1, p2))):
+        for tau in (0.0, 0.3, 1.0, np.inf):
+            yield tau, M.ravel()
+    # tau equal to a singular value
+    yield s_full[k // 2], full.ravel()
+    yield 2.0, repeated.ravel()
+    yield 0.5, repeated.ravel()
+
+
+@pytest.mark.parametrize("p1, p2", [(4, 4), (4, 3), (2, 4), (3, 4)])
+def test_nuclear_prox_matches_the_svd_reference(p1, p2):
+    """The Gram-matrix prox agrees with SVD shrinkage to 1e-12 of the input's largest entry."""
+    J = Nuclear(p1, p2)
+    for tau, v in _nuclear_cases(p1, p2):
+        out = J.prox(tau, v)
+        assert np.all(np.isfinite(out)), tau
+        err = np.abs(out - _svt_reference(p1, p2, tau, v)).max()
+        assert err <= 1e-12 * np.abs(v).max(), (tau, err)
+
+
+def test_nuclear_value_is_the_sum_of_svd_singular_values():
+    """J stays on the SVD: squared singular values from the Gram matrix would lose digits."""
+    rng = np.random.default_rng(2)
+    J = Nuclear(20, 20)
+    V = np.stack([(rng.standard_normal((20, 5)) @ rng.standard_normal((5, 20))).ravel()
+                  for _ in range(4)], axis=1)
+    for b in range(4):
+        assert J(V[:, b]) == np.linalg.svd(V[:, b].reshape(20, 20), compute_uv=False).sum()
+    assert np.array_equal(J(V), [J(V[:, b]) for b in range(4)])
+
+
 def test_soft_threshold_values():
     """Exactly sign(v) * max(|v| - t, 0), NaN where it is NaN; for t > 0 zeros are +0.0."""
     assert np.array_equal(soft_threshold(np.array([3.0, -0.2, 1.0]), 1.0), [2.0, 0.0, 0.0])
@@ -190,11 +238,11 @@ class TestBlockBias:
             J(np.zeros(5))
 
 
-@pytest.mark.parametrize("J, dim", ALL_KINDS + [(Nuclear(3, 4), 12)])
+@pytest.mark.parametrize("J, dim", ALL_KINDS + [(Nuclear(3, 4), 12), (Nuclear(4, 3), 12)])
 def test_stack_matches_columns(J, dim):
     rng = np.random.default_rng(4)
     V = 3.0 * rng.standard_normal((dim, 5))
-    for tau in (0.0, 0.7):
+    for tau in (0.0, 0.7, np.inf):
         want = np.stack([J.prox(tau, V[:, b]) for b in range(5)], axis=1)
         assert np.array_equal(J.prox(tau, V), want)
     one = J(V[:, 0])

@@ -165,6 +165,15 @@ def test_stoptime_oracle_matches_logged_runs(tmp_path):
         assert float(row["dist_star"]) == pytest.approx(d_star, rel=1e-12)
 
 
+def test_stoptime_rel_intercept_divides_by_the_span_of_decreasing_levels(tmp_path):
+    spec = spec_for(tmp_path, "stoptime", deltas=(4.0, 2.0, 1.0), replicates=2,
+                    problem=TINY_SPARSE, max_iter=400)
+    fit = run_stoptime(spec)["fit"]
+    assert fit["rel_intercept"] > 0
+    assert fit["rel_intercept"] == pytest.approx(
+        abs(fit["intercept"]) / (abs(fit["slope"]) * 3.0), rel=1e-12)
+
+
 def test_stoptime_single_delta_degenerate_fit(tmp_path):
     spec = spec_for(tmp_path, "stoptime", deltas=(1.0,), replicates=2,
                     problem=TINY_SPARSE, max_iter=400)

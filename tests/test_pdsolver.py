@@ -42,9 +42,15 @@ class TestConfig:
         with pytest.raises(ContractViolation):
             SolverConfig(epsilon=0.0, tau=0.1, sigma=0.1, max_iter=10)
 
-    def test_positive_steps(self):
-        with pytest.raises(ContractViolation):
-            SolverConfig(epsilon=0.5, tau=0.0, sigma=0.1, max_iter=10)
+    @pytest.mark.parametrize("tau, sigma", [(0.0, 0.1), (np.nan, np.nan), (np.nan, 0.1),
+                                            (0.1, np.nan)])
+    def test_positive_steps(self, tau, sigma):
+        with pytest.raises(ContractViolation, match="step sizes must be positive"):
+            SolverConfig(epsilon=0.5, tau=tau, sigma=sigma, max_iter=10)
+
+    def test_make_config_names_a_non_finite_norm_estimate(self):
+        with pytest.raises(ContractViolation, match="non-finite norm estimate nan"):
+            make_config(DenseOperator([[1.0, np.nan], [0.0, 1.0]]))
 
     def test_record_every(self):
         with pytest.raises(ContractViolation):
@@ -175,6 +181,11 @@ class TestIterate:
         with pytest.raises(ContractViolation):
             next(iterate(X, L1(), np.zeros(2), cfg))
 
+    def test_nan_step_size_product_is_rejected(self):
+        cfg = make_config(identity(2), epsilon=0.5, max_iter=3)
+        with pytest.raises(ContractViolation, match="step sizes violate .*nan"):
+            next(iterate(DenseOperator([[1.0, np.nan], [0.0, 1.0]]), L1(), np.zeros(2), cfg))
+
     def test_step_size_product_1e_6_above_epsilon_is_rejected(self):
         X = identity(2)
         nu = X.norm_est()
@@ -205,10 +216,12 @@ class TestIterate:
             gain = X.gain if batch is None else X.gain[:, None]
             fwd = adj = lambda v: gain * v
 
-            def prox(t, v):
+            def prox(t, v):  # shrinkage through the eigendecomposition of M^T M
                 M = v.T.reshape(v.shape[1:] + (6, 6))
-                U, s, Vt = np.linalg.svd(M, full_matrices=False)
-                return ((U * np.maximum(s - t, 0.0)[..., None, :]) @ Vt).reshape(
+                lam, Q = np.linalg.eigh(np.swapaxes(M, -1, -2) @ M)
+                s = np.sqrt(np.maximum(lam, 0.0))
+                f = np.maximum(s - t, 0.0) / np.maximum(s, t)
+                return ((M @ (Q * f[..., None, :])) @ np.swapaxes(Q, -1, -2)).reshape(
                     M.shape[:-2] + (-1,)).T
         y = prob.y
         if batch is not None:
