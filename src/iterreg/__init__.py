@@ -1,6 +1,6 @@
 """Iterative regularization of convex-bias interpolation by primal-dual steps."""
 
-from .bias import Bias, BlockBias, L1, Nuclear, SqL2, Zero, soft_threshold, subgradient_residual
+from .bias import Bias, L1, Nuclear, SqL2, soft_threshold, subgradient_residual
 from .errors import (
     AssumptionViolated,
     BoundViolation,
@@ -9,14 +9,12 @@ from .errors import (
     ContractViolation,
     IterRegError,
     NumericalFailure,
-    RuleInapplicable,
 )
 from .linop import (
     DenseOperator,
     Grad2D,
     LinearOperator,
     MaskOperator,
-    StackedOperator,
     op_norm,
 )
 from .metrics import (
@@ -52,6 +50,6 @@ from .problems import (
     tv_reformulate,
 )
 from .baseline import PathResult, TikhonovSolution, lambda_grid, lasso_path, solve_tikhonov
-from .stopping import budget_stop, discrepancy_stop, oracle_stop
+from .stopping import oracle_stop
 
 __version__ = "0.1.0"

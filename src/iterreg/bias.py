@@ -18,8 +18,7 @@ import numpy as np
 from .errors import ContractViolation
 from .linop import as_vector, norms
 
-__all__ = ["Bias", "L1", "SqL2", "Nuclear", "Zero", "BlockBias", "soft_threshold",
-           "subgradient_residual"]
+__all__ = ["Bias", "L1", "SqL2", "Nuclear", "soft_threshold", "subgradient_residual"]
 
 
 def soft_threshold(v, t):
@@ -157,51 +156,3 @@ class Nuclear(Bias):
 
     def __repr__(self):
         return f"Nuclear({self.p1}, {self.p2})"
-
-
-class Zero(Bias):
-    """Identically-zero bias; prox is the identity, subgradient is {0}."""
-
-    def __call__(self, w):
-        return _per_column(np.zeros(np.shape(w)[1:]))
-
-    def prox(self, tau, v):
-        _check_tau(tau)
-        return np.asarray(v, dtype=float).copy()
-
-    def __repr__(self):
-        return "Zero()"
-
-
-class BlockBias(Bias):
-    """Sum of biases on contiguous index ranges tiling the whole vector.
-
-    Built from (bias, start, stop) triples with start of each range equal to
-    the stop of the previous one.
-    """
-
-    def __init__(self, parts):
-        parts = [(b, int(s), int(e)) for (b, s, e) in parts]
-        if not parts:
-            raise ContractViolation("block bias needs at least one part")
-        expected = 0
-        for b, s, e in parts:
-            if not isinstance(b, Bias):
-                raise ContractViolation("block bias parts must contain Bias instances")
-            if s != expected or e <= s:
-                raise ContractViolation(f"block ranges must tile [0, dim); bad range ({s},{e})")
-            expected = e
-        self.parts = tuple(parts)
-        self.dim = expected
-
-    def __call__(self, w):
-        w = as_vector(w, self.dim, "block eval", columns=True)
-        return _per_column(sum(b(w[s:e]) for b, s, e in self.parts))
-
-    def prox(self, tau, v):
-        _check_tau(tau)
-        v = as_vector(v, self.dim, "block prox", columns=True)
-        return np.concatenate([b.prox(tau, v[s:e]) for b, s, e in self.parts])
-
-    def __repr__(self):
-        return f"BlockBias({list(self.parts)!r})"

@@ -51,6 +51,3 @@ class AssumptionViolated(IterRegError):
 class BoundViolation(IterRegError):
     """A measured quantity exceeded its theoretical bound beyond tolerance."""
 
-
-class RuleInapplicable(IterRegError):
-    """A stopping rule was invoked in a regime where it is undefined."""

@@ -1,4 +1,4 @@
-"""Linear operators: dense matrices, entry masks, 2-D forward differences, block stacks.
+"""Linear operators: dense matrices, entry masks, 2-D forward differences.
 
 Operators map flat float vectors to flat float vectors. A matrix variable over a
 p1 x p2 grid is identified with a vector of length p1*p2 in row-major order, so
@@ -21,7 +21,6 @@ __all__ = [
     "DenseOperator",
     "MaskOperator",
     "Grad2D",
-    "StackedOperator",
     "op_norm",
 ]
 
@@ -50,7 +49,8 @@ class LinearOperator:
     Attributes
     ----------
     kind : str
-        One of ``dense``, ``mask``, ``grad2d``, ``stacked``.
+        One of ``dense``, ``mask``, ``grad2d``, or ``tv-lift`` for the lifted
+        operator of :func:`iterreg.problems.tv_reformulate`.
     in_dim, out_dim : int
         Domain and codomain dimensions (p and n); ``apply`` and ``adjoint``
         take a vector of the one and return a vector of the other, or map a
@@ -210,68 +210,6 @@ class Grad2D(LinearOperator):
         out[:, 1:] += b[:, :-1]
         out[:, :-1] -= b[:, :-1]
         return out.reshape(m, *batch)
-
-
-class StackedOperator(LinearOperator):
-    """Block matrix of child operators; ``None`` entries are zero blocks."""
-
-    kind = "stacked"
-
-    def __init__(self, blocks):
-        rows = [tuple(row) for row in blocks]
-        if not rows or any(len(row) == 0 for row in rows):
-            raise ContractViolation("stacked operator needs a non-empty grid of blocks")
-        ncols = len(rows[0])
-        if any(len(row) != ncols for row in rows):
-            raise ContractViolation("stacked operator rows must have equal length")
-
-        col_dims = [None] * ncols
-        row_dims = [None] * len(rows)
-        for i, row in enumerate(rows):
-            for j, blk in enumerate(row):
-                if blk is None:
-                    continue
-                if not isinstance(blk, LinearOperator):
-                    raise ContractViolation(f"block ({i},{j}) is not a LinearOperator")
-                if col_dims[j] is None:
-                    col_dims[j] = blk.in_dim
-                elif col_dims[j] != blk.in_dim:
-                    raise ContractViolation(f"column {j} mixes in_dims {col_dims[j]} and {blk.in_dim}")
-                if row_dims[i] is None:
-                    row_dims[i] = blk.out_dim
-                elif row_dims[i] != blk.out_dim:
-                    raise ContractViolation(f"row {i} mixes out_dims {row_dims[i]} and {blk.out_dim}")
-        if any(d is None for d in col_dims):
-            raise ContractViolation("a block column contains only zero blocks; width is ambiguous")
-        if any(d is None for d in row_dims):
-            raise ContractViolation("a block row contains only zero blocks; height is ambiguous")
-
-        self.blocks = tuple(rows)
-        self.col_dims = tuple(col_dims)
-        self.row_dims = tuple(row_dims)
-        self._col_off = np.concatenate([[0], np.cumsum(col_dims)])
-        self._row_off = np.concatenate([[0], np.cumsum(row_dims)])
-        super().__init__(int(self._col_off[-1]), int(self._row_off[-1]))
-
-    def _apply(self, w):
-        out = np.zeros((self.out_dim, *w.shape[1:]))
-        for i, row in enumerate(self.blocks):
-            r0, r1 = self._row_off[i], self._row_off[i + 1]
-            for j, blk in enumerate(row):
-                if blk is None:
-                    continue
-                out[r0:r1] += blk._apply(w[self._col_off[j]:self._col_off[j + 1]])
-        return out
-
-    def _adjoint(self, theta):
-        out = np.zeros((self.in_dim, *theta.shape[1:]))
-        for i, row in enumerate(self.blocks):
-            r0, r1 = self._row_off[i], self._row_off[i + 1]
-            for j, blk in enumerate(row):
-                if blk is None:
-                    continue
-                out[self._col_off[j]:self._col_off[j + 1]] += blk._adjoint(theta[r0:r1])
-        return out
 
 
 _NORM_SEED, _NORM_TOL, _NORM_MAX_ITER = 0, 1e-6, 1000  # op_norm's start draw, relative stop, steps

@@ -14,9 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .bias import BlockBias, L1, Zero
+from .bias import Bias, L1
 from .errors import ContractViolation
-from .linop import DenseOperator, Grad2D, LinearOperator, MaskOperator, StackedOperator
+from .linop import DenseOperator, Grad2D, LinearOperator, MaskOperator, as_vector
 
 __all__ = [
     "NoisyProblem",
@@ -140,10 +140,10 @@ def add_noise(prob, delta, seed):
 def tv_reformulate(X, y, p1, p2):
     """Lift an observation operator on a p1 x p2 grid to the gradient-split form.
 
-    Returns the stacked operator [[X, 0], [grad, -Id]], the block bias that is
-    zero on the image block and l1 on the gradient block, and the extended
-    data vector (y, 0). Solving the lifted interpolation problem minimizes the
-    total variation of the image among observation-consistent images.
+    Returns the operator (w, u) -> (X w, grad w - u), that is [[X, 0], [grad, -Id]],
+    the bias ||u||_1, zero on the image block w, and the extended data vector
+    (y, 0). Solving the lifted interpolation problem minimizes the total
+    variation of the image among observation-consistent images.
     """
     p1, p2 = int(p1), int(p2)
     if X.in_dim != p1 * p2:
@@ -151,12 +151,52 @@ def tv_reformulate(X, y, p1, p2):
     y = np.asarray(y, dtype=float)
     if y.shape != (X.out_dim,):
         raise ContractViolation(f"data length {y.shape} != operator range {X.out_dim}")
-    grad = Grad2D(p1, p2)
-    m = grad.out_dim
-    lifted = StackedOperator([[X, None], [grad, DenseOperator(-np.eye(m))]])
-    bias = BlockBias([(Zero(), 0, p1 * p2), (L1(), p1 * p2, p1 * p2 + m)])
-    y_lifted = np.concatenate([y, np.zeros(m)])
-    return lifted, bias, y_lifted
+    lifted = _TvLift(X, Grad2D(p1, p2))
+    return lifted, _TvBias(p1 * p2, lifted.in_dim), np.concatenate([y, np.zeros(2 * p1 * p2)])
+
+
+class _TvLift(LinearOperator):
+    """(w, u) -> (X w, grad w - u); the adjoint is (a, b) -> (X^T a + grad^T b, -b).
+
+    Each block is added into zeros, X first, then grad, then -Id, so that every
+    entry rounds as in the blockwise product, signed zeros included.
+    """
+
+    kind = "tv-lift"
+
+    def __init__(self, X, grad):
+        self.X, self.grad = X, grad
+        super().__init__(X.in_dim + grad.out_dim, X.out_dim + grad.out_dim)
+
+    def _apply(self, w):
+        img, n = self.X.in_dim, self.X.out_dim
+        out = np.zeros((self.out_dim, *w.shape[1:]))
+        out[:n] += self.X._apply(w[:img])
+        out[n:] += self.grad._apply(w[:img])
+        out[n:] -= w[img:]
+        return out
+
+    def _adjoint(self, theta):
+        img, n = self.X.in_dim, self.X.out_dim
+        out = np.zeros((self.in_dim, *theta.shape[1:]))
+        out[:img] += self.X._adjoint(theta[:n])
+        out[:img] += self.grad._adjoint(theta[n:])
+        out[img:] -= theta[n:]
+        return out
+
+
+class _TvBias(Bias):
+    """||u||_1 of the gradient block u of (w, u), zero on the image block w of length ``img``."""
+
+    def __init__(self, img, dim):
+        self.img, self.dim = img, dim
+
+    def __call__(self, w):
+        return L1()(as_vector(w, self.dim, "tv bias", columns=True)[self.img:])
+
+    def prox(self, tau, v):
+        v = as_vector(v, self.dim, "tv bias", columns=True)
+        return np.concatenate([v[:self.img], L1().prox(tau, v[self.img:])])
 
 
 def save_problem(prob, out_dir):

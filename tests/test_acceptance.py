@@ -17,7 +17,6 @@ from iterreg import (
     MaskOperator,
     Nuclear,
     SqL2,
-    StackedOperator,
     certify,
     gap,
     gap_equals_bregman_check,
@@ -28,6 +27,7 @@ from iterreg import (
     make_config,
     run,
     step,
+    tv_reformulate,
 )
 from iterreg.experiments import ExperimentSpec, child_seed, run_matcomp, run_pathcmp, run_semiconv, run_stoptime
 from iterreg.metrics import BoundInputs, stability_feas_bound, stability_gap_bound, weighted_v
@@ -288,8 +288,7 @@ def test_criterion_9_property_suites():
     ops = [DenseOperator(rng.standard_normal((5, 9))),
            MaskOperator((3, 4), [(0, 1), (2, 3), (1, 0)]),
            Grad2D(3, 4),
-           StackedOperator([[identity(12), None],
-                            [Grad2D(3, 4), DenseOperator(-np.eye(24))]])]
+           tv_reformulate(identity(12), np.zeros(12), 3, 4)[0]]
     for _ in range(200):
         op = ops[int(rng.integers(len(ops)))]
         w = rng.standard_normal(op.in_dim)

@@ -4,23 +4,26 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from iterreg import (
-    BlockBias,
     ContractViolation,
     L1,
     Nuclear,
     SqL2,
-    Zero,
     soft_threshold,
     subgradient_residual,
+    tv_reformulate,
 )
+
+from conftest import identity
+
+# the bias of the total-variation lift of a 1 x 2 grid: zero on 2 image entries, l1 on 4 differences
+TV_BIAS = tv_reformulate(identity(2), np.zeros(2), 1, 2)[1]
 
 ALL_KINDS = [
     (L1(), 6),
     (SqL2(0.5), 6),
     (SqL2(2.0), 6),
     (Nuclear(2, 3), 6),
-    (Zero(), 6),
-    (BlockBias([(Zero(), 0, 2), (L1(), 2, 6)]), 6),
+    (TV_BIAS, 6),
 ]
 
 
@@ -92,18 +95,16 @@ class TestSubgradientCheck:
         assert is_subgradient(SqL2(0.5), [2.0, 0.0], [2.0, 0.0])
         assert not is_subgradient(SqL2(0.5), [2.0, 0.0], [1.0, 0.0])
 
-    def test_zero_bias(self):
-        assert is_subgradient(Zero(), np.ones(3), np.zeros(3))
-        assert not is_subgradient(Zero(), np.ones(3), [0.1, 0.0, 0.0])
-
-    def test_nuclear_and_block(self):
+    def test_nuclear_and_tv_lift(self):
         # diag(1, 0) has subdifferential diag(1, t) with |t| <= 1
         w = np.diag([1.0, 0.0]).ravel()
         assert is_subgradient(Nuclear(2, 2), w, np.diag([1.0, 0.5]).ravel())
         assert not is_subgradient(Nuclear(2, 2), w, np.diag([1.0, 1.5]).ravel())
-        J = BlockBias([(Zero(), 0, 2), (L1(), 2, 4)])
-        assert is_subgradient(J, [5.0, -3.0, 1.0, 0.0], [0.0, 0.0, 1.0, -0.4])
-        assert not is_subgradient(J, [5.0, -3.0, 1.0, 0.0], [0.2, 0.0, 1.0, -0.4])
+        # the image block's subdifferential is {0}; the gradient block's is that of l1
+        w = [5.0, -3.0, 1.0, 0.0, -2.0, 0.0]
+        assert is_subgradient(TV_BIAS, w, [0.0, 0.0, 1.0, -0.4, -1.0, 1.0])
+        assert not is_subgradient(TV_BIAS, w, [0.2, 0.0, 1.0, -0.4, -1.0, 1.0])
+        assert not is_subgradient(TV_BIAS, w, [0.0, 0.0, 1.0, -1.4, -1.0, 1.0])
 
 
 def _firmly_nonexpansive(J, tau, u, v):
@@ -217,25 +218,19 @@ def test_soft_threshold_values():
                 assert not np.signbit(out[out == 0.0]).any(), t
 
 
-class TestBlockBias:
+class TestTvBias:
     def test_eval_and_prox_blockwise(self):
-        J = BlockBias([(Zero(), 0, 2), (L1(), 2, 5)])
-        w = np.array([5.0, -3.0, 1.0, -2.0, 0.0])
-        assert J(w) == pytest.approx(3.0)
-        out = J.prox(1.0, w)
+        w = np.array([5.0, -3.0, 1.0, -2.0, 0.0, 0.5])
+        assert TV_BIAS(w) == 3.5
+        out = TV_BIAS.prox(1.0, w)
         assert np.array_equal(out[:2], w[:2])
-        assert np.allclose(out[2:], [0.0, -1.0, 0.0])
-
-    def test_ranges_must_tile(self):
-        with pytest.raises(ContractViolation):
-            BlockBias([(L1(), 0, 2), (L1(), 3, 5)])
-        with pytest.raises(ContractViolation):
-            BlockBias([(L1(), 1, 3)])
+        assert np.array_equal(out[2:], [0.0, -1.0, 0.0, 0.0])
 
     def test_length_checked(self):
-        J = BlockBias([(L1(), 0, 4)])
         with pytest.raises(ContractViolation):
-            J(np.zeros(5))
+            TV_BIAS(np.zeros(5))
+        with pytest.raises(ContractViolation):
+            TV_BIAS.prox(1.0, np.zeros(7))
 
 
 @pytest.mark.parametrize("J, dim", ALL_KINDS + [(Nuclear(3, 4), 12), (Nuclear(4, 3), 12)])

@@ -8,7 +8,6 @@ from iterreg import (
     DenseOperator,
     Grad2D,
     MaskOperator,
-    StackedOperator,
     op_norm,
     tv_reformulate,
 )
@@ -20,8 +19,8 @@ def random_operators(rng):
     dense = DenseOperator(rng.standard_normal((5, 9)))
     mask = MaskOperator((3, 4), [(0, 0), (1, 2), (2, 3)])
     grad = Grad2D(3, 4)
-    stacked = StackedOperator([[identity(12), None], [grad, DenseOperator(-np.eye(24))]])
-    return [dense, mask, grad, stacked]
+    lifted = tv_reformulate(identity(12), np.zeros(12), 3, 4)[0]
+    return [dense, mask, grad, lifted]
 
 
 class TestApply:
@@ -146,34 +145,38 @@ def test_grad2d_hand_values():
     assert np.array_equal(out[4:], [1.0, 0.0, 1.0, 0.0])
 
 
-class TestStack:
-    def test_single_block_is_identity(self):
-        op = StackedOperator([[identity(2)]])
-        v = np.array([4.0, -2.0])
-        assert np.array_equal(op.apply(v), v)
-        assert np.array_equal(op.adjoint(v), v)
+def forward_differences(p1, p2):
+    """The forward-difference gradient of a p1 x p2 grid as an explicit (2 p1 p2, p1 p2) matrix."""
+    def diff(p):  # rows i < p - 1 take x[i + 1] - x[i]; the last row is zero
+        return np.eye(p, k=1) - np.diag(np.r_[np.ones(p - 1), 0.0])
+    return np.vstack([np.kron(diff(p1), np.eye(p2)), np.kron(np.eye(p1), diff(p2))])
 
+
+class TestTvLift:
     def test_tv_block_hand_values(self):
         grad = Grad2D(2, 2)
-        op = StackedOperator([[identity(4), None], [grad, DenseOperator(-np.eye(8))]])
+        op = tv_reformulate(identity(4), np.zeros(4), 2, 2)[0]
         w_img = np.array([1.0, 2.0, 3.0, 4.0])
         u = np.arange(1.0, 9.0)
         out = op.apply(np.concatenate([w_img, u]))
         assert np.array_equal(out[:4], w_img)
         assert np.allclose(out[4:], grad.apply(w_img) - u)
 
-    def test_dims_sum_of_children(self):
-        op = StackedOperator([[identity(3)], [DenseOperator(np.ones((2, 3)))]])
-        assert op.in_dim == 3
-        assert op.out_dim == 5
-
-    def test_incompatible_blocks(self):
-        with pytest.raises(ContractViolation):
-            StackedOperator([[identity(2), identity(3)], [identity(3), None]])
-
-    def test_all_zero_column_rejected(self):
-        with pytest.raises(ContractViolation):
-            StackedOperator([[identity(2), None], [identity(2), None]])
+    @pytest.mark.parametrize("observe", [DenseOperator(np.arange(-30.0, 30.0).reshape(5, 12) % 7),
+                                         MaskOperator((3, 4), [(0, 0), (1, 2), (2, 3)])])
+    def test_equals_the_explicit_block_matrix(self, observe):
+        """[[X, 0], [G, -I]] with G built here; integer entries make every sum exact."""
+        G = forward_differences(3, 4)
+        X = observe.as_matrix()
+        block = np.block([[X, np.zeros((X.shape[0], 24))], [G, -np.eye(24)]])
+        op = tv_reformulate(observe, np.zeros(X.shape[0]), 3, 4)[0]
+        assert (op.out_dim, op.in_dim) == block.shape
+        rng = np.random.default_rng(8)
+        for shape in ((), (4,)):
+            w = rng.integers(-9, 10, (op.in_dim, *shape)).astype(float)
+            th = rng.integers(-9, 10, (op.out_dim, *shape)).astype(float)
+            assert np.array_equal(op.apply(w), block @ w)
+            assert np.array_equal(op.adjoint(th), block.T @ th)
 
 
 def test_as_matrix_matches_apply():
@@ -200,7 +203,7 @@ def test_stack_matches_columns():
                           (op.adjoint(T), [op.adjoint(T[:, b]) for b in range(4)])):
             want = np.stack(want, axis=1)
             assert got.shape == want.shape
-            if op in (mask, grad):  # elementwise: the same products and differences
+            if op in (mask, grad, lifted):  # elementwise: the same products and differences
                 assert np.array_equal(got, want)
             else:  # matrix products against matrix-vector products
                 assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))

@@ -452,7 +452,7 @@ def batched_cases(small_sql2, small_sql2_cert):
     X, J, y = small_sql2
     Y = y[:, None] + 0.3 * np.random.default_rng(3).standard_normal((3, 3))
     cases.append((X, J, Y, make_config(X, max_iter=400, record_every=7), small_sql2_cert))
-    # lifted total variation: a stacked operator with Grad2D and a block bias
+    # lifted total variation: (w, u) -> (X w, grad w - u) and the l1 norm of u
     mask = MaskOperator((3, 4), [(0, 0), (0, 3), (1, 1), (1, 3), (2, 0), (2, 2), (2, 3)])
     image = np.array([[1.0, 1, 0, 0], [1, 1, 0, 0], [2, 2, 2, 0]]).ravel()
     X, J, y = tv_reformulate(mask, mask.apply(image), 3, 4)

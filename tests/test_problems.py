@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from iterreg import (
-    BlockBias,
     ContractViolation,
     DenseOperator,
     Grad2D,
@@ -198,9 +197,23 @@ class TestTvReformulate:
         lifted, bias, y_lifted = tv_reformulate(mask, y, 3, 3)
         assert lifted.in_dim == 9 + 18
         assert lifted.out_dim == 9 + 18
-        assert isinstance(bias, BlockBias)
+        w = np.concatenate([np.arange(9.0), np.linspace(-2.0, 2.0, 18)])
+        assert bias(w) == np.abs(w[9:]).sum()  # l1 of the gradient block, zero on the image
         assert np.array_equal(y_lifted[:9], y)
         assert np.array_equal(y_lifted[9:], np.zeros(18))
+
+    def test_lift_of_a_32x32_grid_holds_no_dense_block(self):
+        """A dense -I block of the 2048 gradient entries alone would take 33.5 MB."""
+        mask = MaskOperator((32, 32), [(0, 0), (31, 31)])
+        y = mask.apply(np.ones(1024))
+        tracemalloc.start()
+        try:
+            lifted, _, _ = tv_reformulate(mask, y, 32, 32)
+            lifted.adjoint(lifted.apply(np.ones(lifted.in_dim)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_adjoint_consistency_inherited(self):
         mask = MaskOperator((3, 3), [(0, 0), (2, 2)])
