@@ -233,7 +233,8 @@ class TestTvBias:
             TV_BIAS.prox(1.0, np.zeros(7))
 
 
-@pytest.mark.parametrize("J, dim", ALL_KINDS + [(Nuclear(3, 4), 12), (Nuclear(4, 3), 12)])
+@pytest.mark.parametrize("J, dim", ALL_KINDS + [(Nuclear(3, 4), 12), (Nuclear(4, 3), 12),
+                                    (tv_reformulate(identity(6), np.zeros(6), 2, 3)[1], 18)])
 def test_stack_matches_columns(J, dim):
     rng = np.random.default_rng(4)
     V = 3.0 * rng.standard_normal((dim, 5))

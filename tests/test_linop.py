@@ -178,6 +178,20 @@ class TestTvLift:
             assert np.array_equal(op.apply(w), block @ w)
             assert np.array_equal(op.adjoint(th), block.T @ th)
 
+    @pytest.mark.parametrize("p1, p2", [(1, 1), (1, 5), (4, 1), (2, 2)])
+    def test_degenerate_grids_match_the_block_matrix(self, p1, p2):
+        """A single pixel, row or column: the gradient rows at the boundary are zero."""
+        m = p1 * p2
+        observe = DenseOperator(np.arange(2.0 * m).reshape(2, m) % 5 - 2)
+        block = np.block([[observe.matrix, np.zeros((2, 2 * m))],
+                          [forward_differences(p1, p2), -np.eye(2 * m)]])
+        op = tv_reformulate(observe, np.zeros(2), p1, p2)[0]
+        assert (op.out_dim, op.in_dim) == (2 + 2 * m, 3 * m)
+        assert np.array_equal(op.as_matrix(), block)
+        rng = np.random.default_rng(p1 + 10 * p2)
+        th = rng.integers(-9, 10, (op.out_dim, 3)).astype(float)
+        assert np.array_equal(op.adjoint(th), block.T @ th)
+
 
 def test_as_matrix_matches_apply():
     rng = np.random.default_rng(11)

@@ -255,6 +255,12 @@ class TestTvReformulate:
         with pytest.raises(ContractViolation):
             tv_reformulate(mask, np.zeros(4), 3, 3)
 
+    @pytest.mark.parametrize("y", [np.zeros(0), np.zeros(2), np.zeros((1, 1))])
+    def test_data_must_match_the_operator_range(self, y):
+        mask = MaskOperator((3, 3), [(1, 1)])
+        with pytest.raises(ContractViolation, match="data length"):
+            tv_reformulate(mask, y, 3, 3)
+
 
 class TestSerialization:
     def test_dense_round_trip(self, tmp_path):

@@ -33,3 +33,11 @@ class TestOracle:
         log = make_log(dist)
         _, d_star = oracle_stop(log)
         assert all(d_star <= d for d in dist)
+
+    def test_returns_the_recorded_k_not_the_row(self):
+        log = IterateLog(k=[0, 5, 10, 15], dist_ref=[4.0, 1.0, 2.0, 3.0])
+        assert oracle_stop(log) == (5, 1.0)
+
+    def test_rows_without_a_distance_are_skipped(self):
+        log = IterateLog(k=[0, 5, 10], dist_ref=[np.nan, 3.0, 2.0])
+        assert oracle_stop(log) == (10, 2.0)
