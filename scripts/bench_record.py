@@ -13,12 +13,15 @@ workload, side and end-to-end metric of ``BENCHMARK.json``, the value of
 every run in seed order with their median and quartiles
 (``statistics.quantiles(values, n=4)``), and the failed and attempted
 operations; with ``--base``, also the number of seed pairs in which this
-checkout is better on each metric (ties count for neither) and the ratio of
-the medians. Each side records its git revision, a SHA-256 of its
-``src/iterreg`` sources (which also tells apart uncommitted code) and the
-environment record of the benchmark's worker. Workloads and seeds default to
-all of ``BENCHMARK.json``'s workloads and seeds 1 to 10, the run length to
-its ``run_seconds``.
+checkout is better on each metric (ties count for neither), whether a gain
+is shown on it, and the ratio of the medians. A gain is shown when this
+checkout wins at least nine in ten of the pairs and its median is better
+than the other side's by more than the other side's quartile distance. Each
+side records its git revision, a SHA-256 of its ``src/iterreg`` sources
+(which also tells apart uncommitted code) and the environment record of the
+benchmark's worker. Workloads and seeds default to all of
+``BENCHMARK.json``'s workloads and seeds 1 to 10, the run length to its
+``run_seconds``.
 """
 
 from __future__ import annotations
@@ -66,11 +69,15 @@ def summarize(results, better):
         if "base" not in entry:
             continue
         head, base = entry["head"]["metrics"], entry["base"]["metrics"]
-        entry["head_wins"], entry["median_ratio"] = {}, {}
+        entry["head_wins"], entry["shown"], entry["median_ratio"] = {}, {}, {}
         for name, sense in better.items():
             sign = 1.0 if sense == "lower" else -1.0
-            entry["head_wins"][name] = sum(
-                sign * (b - h) > 0 for h, b in zip(head[name]["values"], base[name]["values"]))
+            pairs = list(zip(head[name]["values"], base[name]["values"]))
+            wins = sum(sign * (b - h) > 0 for h, b in pairs)
+            gain = sign * (base[name]["median"] - head[name]["median"])
+            entry["head_wins"][name] = wins
+            entry["shown"][name] = (10 * wins >= 9 * len(pairs)
+                                    and gain > base[name]["q3"] - base[name]["q1"])
             entry["median_ratio"][name] = (head[name]["median"] / base[name]["median"]
                                            if base[name]["median"] else None)
     return summary

@@ -13,7 +13,7 @@ import numpy as np
 
 from .bias import L1
 from .errors import ContractViolation
-from .linop import norms
+from .linop import as_vector, norms
 from .pdsolver import write_csv
 
 __all__ = ["lambda_grid", "solve_tikhonov", "TikhonovSolution", "lasso_path", "PathResult"]
@@ -21,7 +21,7 @@ __all__ = ["lambda_grid", "solve_tikhonov", "TikhonovSolution", "lasso_path", "P
 
 def lambda_grid(X, y, count=100, span_decades=3.0):
     """Geometric grid lam_t = 10^(-span*t/(count-1)) * ||X^T y||_inf, descending."""
-    if count < 2:
+    if not (isinstance(count, (int, np.integer)) and count >= 2):
         raise ContractViolation(f"grid needs at least 2 points, got {count}")
     if not 0.0 < span_decades < np.inf:  # NaN included
         raise ContractViolation(f"span_decades must be finite and > 0, got {span_decades}")
@@ -51,9 +51,9 @@ def solve_tikhonov(X, J, y, lam, w_init=None, tol=1e-8, max_iter=20000):
         raise ContractViolation(f"penalty must be positive, got {lam}")
     if not tol > 0:  # NaN included
         raise ContractViolation(f"tolerance must be positive, got {tol}")
-    if max_iter < 1:
+    if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 1):
         raise ContractViolation(f"max_iter must be >= 1, got {max_iter}")
-    y = np.asarray(y, dtype=float)
+    y = as_vector(y, X.out_dim, "y")
     nu = X.norm_est()
     step = 1.0 / (nu * nu)
     w = np.zeros(X.in_dim) if w_init is None else np.asarray(w_init, dtype=float).copy()
@@ -88,7 +88,7 @@ def lasso_path(X, y, grid, tol=1e-8, max_iter=20000):
     if any(b >= a for a, b in zip(grid, grid[1:])):
         raise ContractViolation("the penalty grid must be strictly decreasing")
     J = L1()
-    y = np.asarray(y, dtype=float)
+    y = as_vector(y, X.out_dim, "y")
     w = np.zeros(X.in_dim)
     out = PathResult(lambdas=[], solutions=[], inner_iters=[], objectives=[], converged=[],
                      nnz=[])

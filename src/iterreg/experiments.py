@@ -407,7 +407,10 @@ def _pathcmp_fold(Xm, y_obs, J, perm, test_idx, spec, params):
     A function of its own so that the fold's training copy of ``Xm`` is freed
     before the next fold makes its own; the path comes back without its solutions.
     """
-    train_idx = np.setdiff1d(perm, test_idx)
+    # a mask, not np.setdiff1d: numpy's set routines import numpy.ma through np.unique
+    train = np.ones(len(perm), dtype=bool)
+    train[test_idx] = False
+    train_idx = np.flatnonzero(train)
     X_tr = DenseOperator._adopt(Xm[train_idx])
     y_tr = y_obs[train_idx]
     X_te, y_te = Xm[test_idx], y_obs[test_idx]
