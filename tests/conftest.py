@@ -23,6 +23,13 @@ hypothesis.settings.register_profile(
 hypothesis.settings.load_profile("default")
 
 
+# the pathcmp run of scripts/cli_outputs.py, as keywords of ExperimentSpec
+PATHCMP_GOLDEN = {"eps": 0.9, "problem": {
+    "n": 40, "p": 80, "s": 6, "corr": 0.3, "y_norm": 6.0, "delta": 1.0, "folds": 2,
+    "grid_count": 6, "grid_span": 2.0, "lasso_tol": 1e-3, "lasso_max_iter": 200,
+    "cp_iters": 30}}
+
+
 def bp_oracle(Xm, y, feas_tol=1e-9):
     """Minimal-l1 interpolator by support enumeration (supports of size <= n).
 

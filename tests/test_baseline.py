@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -41,9 +43,10 @@ class TestLambdaGrid:
         with pytest.raises(ContractViolation):
             lambda_grid(identity(2), np.zeros(2))
 
-    def test_count_validated(self):
-        with pytest.raises(ContractViolation):
-            lambda_grid(identity(2), np.ones(2), count=1)
+    @pytest.mark.parametrize("count", [1, 2.5, 10.0, "4"])
+    def test_count_must_be_an_integer_of_at_least_two(self, count):
+        with pytest.raises(ContractViolation, match=f"^grid needs at least 2 points, got {count}$"):
+            lambda_grid(identity(2), np.ones(2), count=count)
 
     @pytest.mark.parametrize("span", [np.nan, np.inf, -1.0, 0.0])
     def test_span_must_be_finite_and_positive(self, span):
@@ -95,6 +98,37 @@ class TestSolveTikhonov:
         step = 1.0 / nu**2
         again = L1().prox(lam * step / 2.0, sol.w - step * X.adjoint(X.apply(sol.w) - y))
         assert np.linalg.norm(again - sol.w) <= tol * (1 + np.linalg.norm(sol.w))
+
+
+class TestDataAndBudgetChecked:
+    """The baseline reads y and max_iter where they enter, as the solver does."""
+
+    @pytest.mark.parametrize("y", [3.0, np.ones((3, 1)), np.ones(2), np.ones(4)],
+                             ids=["scalar", "column", "short", "long"])
+    @pytest.mark.parametrize("solve", ["tikhonov", "path"])
+    def test_y_must_be_one_vector_of_the_output_length(self, solve, y):
+        line = f"y: expected one vector of length 3, got shape {np.shape(y)}"
+        with pytest.raises(ContractViolation, match=f"^{re.escape(line)}$"):
+            if solve == "tikhonov":
+                solve_tikhonov(identity(3), L1(), y, 1.0)
+            else:
+                lasso_path(identity(3), y, [1.0, 0.5])
+
+    @pytest.mark.parametrize("max_iter", [10.0, 0, -1, "5"])
+    @pytest.mark.parametrize("solve", ["tikhonov", "path"])
+    def test_max_iter_must_be_a_positive_integer(self, solve, max_iter):
+        with pytest.raises(ContractViolation, match=f"^max_iter must be >= 1, got {max_iter}$"):
+            if solve == "tikhonov":
+                solve_tikhonov(identity(3), L1(), np.ones(3), 1.0, max_iter=max_iter)
+            else:
+                lasso_path(identity(3), np.ones(3), [1.0, 0.5], max_iter=max_iter)
+
+    def test_numpy_integers_are_taken(self):
+        y = np.array([3.0, -1.0, 0.2])
+        grid = lambda_grid(identity(3), y, count=np.int64(3), span_decades=1.0)
+        path = lasso_path(identity(3), y, grid, tol=1e-12, max_iter=np.int32(1000))
+        assert len(grid) == 3
+        assert np.allclose(path.solutions[-1], soft_threshold(y, grid[-1] / 2.0), atol=1e-9)
 
 
 class TestLassoPath:

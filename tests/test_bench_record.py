@@ -46,3 +46,40 @@ def test_summary_of_one_side_and_one_seed(bench_record):
     wall = entry["head"]["metrics"]["wall_s"]
     assert (wall["q1"], wall["median"], wall["q3"]) == (1.5, 1.5, 1.5)
     assert "base" not in entry and "head_wins" not in entry
+
+
+def ten_pairs(head_rss, base_rss):
+    """The results of ten seed pairs of one workload with the given peak RSS values."""
+    def rss(value):
+        return {"correct": True, "attempted": 6, "failed": 0,
+                "metrics": {"peak_rss_mb": {"value": value, "unit": "MB"}}}
+    return {"head": {"w": [rss(v) for v in head_rss]}, "base": {"w": [rss(v) for v in base_rss]}}
+
+
+# quartiles 44.6175 and 44.6325, median 44.625
+BASE_RSS = [44.60, 44.61, 44.62, 44.62, 44.62, 44.63, 44.63, 44.63, 44.64, 44.65]
+RSS = {"peak_rss_mb": "lower"}
+
+
+def test_a_gain_is_shown_by_nine_wins_in_ten_and_a_median_past_the_quartiles(bench_record):
+    head = [42.96] * 9 + [44.70]  # loses the last pair
+    entry = bench_record.summarize(ten_pairs(head, BASE_RSS), RSS)["w"]
+    assert entry["head_wins"] == {"peak_rss_mb": 9}
+    assert entry["shown"] == {"peak_rss_mb": True}
+
+
+def test_eight_wins_in_ten_show_no_gain(bench_record):
+    head = [42.96] * 8 + [44.70] * 2
+    entry = bench_record.summarize(ten_pairs(head, BASE_RSS), RSS)["w"]
+    assert entry["head_wins"] == {"peak_rss_mb": 8}
+    assert entry["shown"] == {"peak_rss_mb": False}
+
+
+def test_a_median_gain_within_the_base_quartile_distance_shows_no_gain(bench_record):
+    head = [v - 0.01 for v in BASE_RSS]  # ten wins, but the medians are 0.01 MB apart
+    entry = bench_record.summarize(ten_pairs(head, BASE_RSS), RSS)["w"]
+    base = entry["base"]["metrics"]["peak_rss_mb"]
+    gain = base["median"] - entry["head"]["metrics"]["peak_rss_mb"]["median"]
+    assert entry["head_wins"] == {"peak_rss_mb": 10}
+    assert gain == pytest.approx(0.01) and base["q3"] - base["q1"] == pytest.approx(0.015)
+    assert entry["shown"] == {"peak_rss_mb": False}
