@@ -6,6 +6,7 @@ matrix-valued problems reuse the vector machinery unchanged. Every operator
 also maps a stack of B such vectors, held as the columns of a (dim, B) array,
 column by column. Operators are immutable after construction;
 ``apply`` and ``adjoint`` are pure and safe to share across concurrent runs.
+``_adjoint`` returns a new array that the caller owns and may write into (``step`` does).
 """
 
 from __future__ import annotations
@@ -39,8 +40,15 @@ def as_vector(x, dim, what="vector", columns=False):
 
 
 def norms(a):
-    """Euclidean norm of a vector (a float) or of each column of a stack, as np.linalg.norm."""
-    return math.sqrt(a @ a) if a.ndim == 1 else np.sqrt(np.add.reduce(a * a, axis=0))
+    """Euclidean norm of a vector (a float) or of each column of a stack, as np.linalg.norm.
+
+    Bit for bit: a C-ordered stack of two or more columns sums its squares row by row.
+    """
+    if a.ndim == 1:
+        return math.sqrt(a @ a)
+    if a.flags.c_contiguous and a.shape[1] > 1:  # one einsum pass, the order of the reduction
+        return np.sqrt(np.einsum("ij,ij->j", a, a))
+    return np.sqrt(np.add.reduce(a * a, axis=0))  # pairwise along a contiguous column
 
 
 class LinearOperator:

@@ -137,11 +137,22 @@ def initial_state(X, batch=()):
 
 
 def step(state, X, J, y_obs, cfg):
-    """One full primal-dual update; returns a new state with k incremented."""
-    w_new = J.prox(cfg.tau, state.w - cfg.tau * X.adjoint(2.0 * state.theta - state.theta_prev))
+    """One full primal-dual update; returns a new state with k incremented.
+
+    It writes only into arrays it made, leaving ``state`` as it was. A NaN or inf of
+    w_{k+1} reaches theta_{k+1}, the one array tested, through X w_{k+1}: 0 * inf is NaN.
+    """
+    d = 2.0 * state.theta
+    d -= state.theta_prev
+    v = X.adjoint(d)
+    v *= cfg.tau
+    np.subtract(state.w, v, out=v)
+    w_new = J.prox(cfg.tau, v)
     xw_new = X.apply(w_new)
-    theta_new = state.theta + cfg.sigma * (xw_new - y_obs)
-    if not (np.isfinite(w_new).all() and np.isfinite(theta_new).all()):
+    theta_new = xw_new - y_obs
+    theta_new *= cfg.sigma
+    theta_new += state.theta
+    if not np.isfinite(theta_new).all():
         raise _non_finite(w_new, theta_new, state.k + 1)
     return PdState(w=w_new, theta=theta_new, theta_prev=state.theta, k=state.k + 1, xw=xw_new)
 

@@ -11,6 +11,7 @@ from iterreg import (
     op_norm,
     tv_reformulate,
 )
+from iterreg.linop import norms
 
 from conftest import identity, power_norm
 
@@ -221,3 +222,28 @@ def test_stack_matches_columns():
                 assert np.array_equal(got, want)
             else:  # matrix products against matrix-vector products
                 assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("batch", [2, 6, 300])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_column_norms_have_the_bits_of_np_linalg_norm(batch, order):
+    """Row by row for a C-ordered stack, along each column otherwise, and no fused multiply-add.
+
+    A numpy whose einsum or reduction sums in another order fails here
+    instead of moving the logged distances and residuals.
+    """
+    rng = np.random.default_rng(batch)
+    for rows in (1, 7, 200, 500):
+        for scale in (1e-150, 1e-50, 1.0, 1e50, 1e150):
+            a = np.asarray(scale * rng.standard_normal((rows, batch)), order=order)
+            assert np.array_equal(norms(a), np.linalg.norm(a, axis=0)), (rows, scale)
+
+
+def test_single_column_and_vector_norms_have_the_bits_of_np_linalg_norm():
+    rng = np.random.default_rng(1)
+    for rows in (1, 7, 200, 500):
+        for scale in (1e-150, 1e-50, 1.0, 1e50, 1e150):
+            v = scale * rng.standard_normal(rows)
+            assert norms(v) == np.linalg.norm(v) and isinstance(norms(v), float)
+            col = v[:, None]  # both C- and F-ordered: summed pairwise, as np.linalg.norm does
+            assert np.array_equal(norms(col), np.linalg.norm(col, axis=0)), (rows, scale)

@@ -76,6 +76,20 @@ class TestConfig:
         assert cfg.tau == cfg.sigma
 
 
+class _SpoiledL1(L1):
+    """L1 whose prox writes ``value`` into entry ``entry`` of its result on call number ``call``."""
+
+    def __init__(self, value, entry, call):
+        self.value, self.entry, self.call, self.calls = value, entry, call, 0
+
+    def prox(self, tau, v):
+        out = super().prox(tau, v)
+        self.calls += 1
+        if self.calls == self.call:
+            out[self.entry] = self.value
+        return out
+
+
 class TestStep:
     def cfg(self):
         return SolverConfig(epsilon=0.5, tau=0.5, sigma=0.5, max_iter=10)
@@ -123,6 +137,55 @@ class TestStep:
         with pytest.raises(NumericalFailure, match="iteration 7") as err:
             step(st, X, J, np.zeros(2), self.cfg())
         assert err.value.k == 7 and err.value.columns is None
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    @pytest.mark.parametrize("kind", ["mask-unobserved-cell", "dense-zero-column"])
+    def test_a_non_finite_entry_only_in_w_is_caught_through_theta(self, kind, batch, value):
+        """Only theta_{k+1} is tested: X w_{k+1} carries a bad entry of w_{k+1} into it.
+
+        The entry sits where X has a zero column, so it reaches X w only
+        because 0 * inf and 0 * nan are NaN; numpy's warning on 0 * inf is
+        silenced here.
+        """
+        if kind == "mask-unobserved-cell":
+            X, j = MaskOperator((2, 3), [(0, 0), (0, 2), (1, 1)]), 1
+        else:
+            A = np.random.default_rng(3).standard_normal((3, 5))
+            A[:, 2] = 0.0
+            X, j = DenseOperator(A), 2
+        assert not X.as_matrix()[:, j].any()
+        J = _SpoiledL1(value, (j, 1) if batch else (j,), call=4)
+        y = np.random.default_rng(4).standard_normal((X.out_dim, *batch))
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalFailure,
+                                                          match="iteration 4") as err:
+            for st in iterate(X, J, y, make_config(X, max_iter=10)):
+                assert np.isfinite(st.w).all() and np.isfinite(st.theta).all(), st.k
+        assert err.value.k == 4 and J.calls == 4
+        assert err.value.columns == ([1] if batch else None)
+
+    @pytest.mark.parametrize("kind", ["dense-l1", "mask-nuclear", "tv-lift"])
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_leaves_the_given_state_unchanged(self, kind, batch):
+        """The update writes in place only into arrays that it made itself."""
+        rng = np.random.default_rng(6)
+        if kind == "dense-l1":
+            X, J = DenseOperator(rng.standard_normal((4, 7))), L1()
+        elif kind == "mask-nuclear":
+            X, J = MaskOperator((3, 3), [(0, 0), (1, 2), (2, 1), (2, 2)]), Nuclear(3, 3)
+        else:
+            X, J, _ = tv_reformulate(MaskOperator((2, 3), [(0, 0), (1, 2)]), np.zeros(6), 2, 3)
+        y = rng.standard_normal((X.out_dim, *batch))
+        cfg = make_config(X, max_iter=5)
+        st = list(iterate(X, J, y, cfg))[-1]
+        arrays = (st.w, st.theta, st.theta_prev, st.xw, y)
+        copies = [a.copy() for a in arrays]
+        new = step(st, X, J, y, cfg)
+        assert new.k == st.k + 1 == 6 and new.theta_prev is st.theta
+        for a, before in zip(arrays, copies):
+            assert np.array_equal(a, before)
+        for a in (new.w, new.theta, new.xw):
+            assert not any(np.shares_memory(a, b) for b in arrays)
 
     def test_running_average_matches_history(self):
         rng = np.random.default_rng(8)
@@ -194,25 +257,28 @@ class TestIterate:
         with pytest.raises(ContractViolation, match="step sizes violate"):
             next(iterate(X, L1(), np.zeros(2), cfg))
 
-    @pytest.mark.parametrize("kind", ["dense-l1", "mask-nuclear"])
+    @pytest.mark.parametrize("kind", ["dense-l1", "mask-nuclear", "tv-lift"])
     @pytest.mark.parametrize("batch", [None, 3])
     def test_matches_the_plain_numpy_update(self, kind, batch):
         """Fifty states equal, bit for bit, the update written out in plain numpy.
 
         The transcription keeps the sign * max shrink and np.linalg.norm, so
-        the faster shrink and norms of the library must not move an iterate.
+        the faster shrink and norms of the library, and the in-place update of
+        ``step``, must not move an iterate. The TV lift is written blockwise:
+        the mask, then forward differences by np.diff and their adjoint by
+        shifted copies, summed in the order of the lift.
         """
         if kind == "dense-l1":
             prob = gen_sparse(n=20, p=40, s=4, seed=1)
             A = prob.X.matrix
-            X, J = prob.X, L1()
+            X, J, y = prob.X, L1(), prob.y
             fwd, adj = (lambda w: A @ w), (lambda th: A.T @ th)
 
             def prox(t, v):
                 return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
-        else:
+        elif kind == "mask-nuclear":
             prob = gen_matcomp(d=6, r=2, obs_frac_denom=2, y_norm=6.0, seed=2)
-            X, J = prob.X, Nuclear(6, 6)
+            X, J, y = prob.X, Nuclear(6, 6), prob.y
             gain = X.gain if batch is None else X.gain[:, None]
             fwd = adj = lambda v: gain * v
 
@@ -223,7 +289,34 @@ class TestIterate:
                 f = np.maximum(s - t, 0.0) / np.maximum(s, t)
                 return ((M @ (Q * f[..., None, :])) @ np.swapaxes(Q, -1, -2)).reshape(
                     M.shape[:-2] + (-1,)).T
-        y = prob.y
+        else:  # the TV lift: the gradient split of a 3 x 4 completion
+            m, grid = 12, (3, 4)
+            observe = MaskOperator(grid, [(0, 0), (0, 3), (1, 1), (2, 0), (2, 2)])
+            X, J, y = tv_reformulate(observe, observe.apply(np.arange(12.0) % 5), *grid)
+            gain = observe.gain if batch is None else observe.gain[:, None]
+
+            def grad(v):  # the last row and column of each direction are zero
+                V = v.reshape(grid + v.shape[1:])
+                return np.concatenate([np.diff(V, axis=0, append=V[-1:]),
+                                       np.diff(V, axis=1, append=V[:, -1:])]).reshape(
+                    (2 * m, *v.shape[1:]))
+
+            def grad_t(t):  # a[i-1] - a[i] + b[j-1] - b[j], absent terms as zeros
+                a, b = (t[:m].reshape(grid + t.shape[1:]), t[m:].reshape(grid + t.shape[1:]))
+                up, down, left, right = (np.zeros_like(a) for _ in range(4))
+                up[1:], down[:-1] = a[:-1], a[:-1]
+                left[:, 1:], right[:, :-1] = b[:, :-1], b[:, :-1]
+                return (up - down + left - right).reshape(t[:m].shape)
+
+            def fwd(w):
+                return np.concatenate([gain * w[:m], grad(w[:m]) - w[m:]])
+
+            def adj(th):
+                return np.concatenate([gain * th[:m] + grad_t(th[m:]), -th[m:]])
+
+            def prox(t, v):
+                u = v[m:]
+                return np.concatenate([v[:m], np.sign(u) * np.maximum(np.abs(u) - t, 0.0)])
         if batch is not None:
             y = y[:, None] + 0.5 * np.random.default_rng(9).standard_normal((y.size, batch))
         cfg = make_config(X, max_iter=50)
