@@ -46,7 +46,7 @@ def norms(a):
     """
     if a.ndim == 1:
         return math.sqrt(a @ a)
-    if a.flags.c_contiguous and a.shape[1] > 1:  # one einsum pass, the order of the reduction
+    if a.flags.c_contiguous and a.shape[1] > 1:  # one pass, in add.reduce's row-by-row order
         return np.sqrt(np.einsum("ij,ij->j", a, a))
     return np.sqrt(np.add.reduce(a * a, axis=0))  # pairwise along a contiguous column
 
