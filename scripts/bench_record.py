@@ -19,9 +19,13 @@ checkout wins at least nine in ten of the pairs and its median is better
 than the other side's by more than the other side's quartile distance. Each
 side records its git revision, a SHA-256 of its ``src/iterreg`` sources
 (which also tells apart uncommitted code) and the environment record of the
-benchmark's worker. Workloads and seeds default to all of
-``BENCHMARK.json``'s workloads and seeds 1 to 10, the run length to its
-``run_seconds``.
+benchmark's worker. Each side writes and reads its bytecode under its own
+``PYTHONPYCACHEPREFIX``, a fresh temporary directory, with
+``PYTHONDONTWRITEBYTECODE`` unset: Python then reads no ``__pycache__`` left in
+either checkout (it reads one even under ``PYTHONDONTWRITEBYTECODE``), and both
+sides start from an empty cache that their first round fills. Workloads and seeds
+default to all of ``BENCHMARK.json``'s workloads and seeds 1 to 10, the run length
+to its ``run_seconds``.
 """
 
 from __future__ import annotations
@@ -29,9 +33,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -91,12 +97,17 @@ def source_digest(checkout):
     return digest.hexdigest()
 
 
-def run_once(checkout, workload, seed, seconds):
-    """run.py's result line and its full record for one workload and seed."""
+def run_once(checkout, workload, seed, seconds, pycache):
+    """run.py's result line and its full record for one workload and seed.
+
+    Python writes and reads the bytecode of the run under the directory ``pycache``.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = str(pycache)
     proc = subprocess.run(
         [sys.executable, str(checkout / "benchmark" / "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, check=True)
+        cwd=checkout, env=env, capture_output=True, text=True, check=True)
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     record_file = checkout / ".bench_out" / "results" / f"{workload}-seed{seed}-trace0.json"
     return result, json.loads(record_file.read_text())
@@ -121,15 +132,17 @@ def main():
 
     results = {side: {w: [] for w in args.workloads} for side in sides}
     records = {}
-    for workload in args.workloads:
-        for i, seed in enumerate(args.seeds):
-            order = list(sides) if i % 2 == 0 else list(sides)[::-1]
-            for side in order:
-                result, records[side] = run_once(sides[side], workload, seed, args.seconds)
-                results[side][workload].append(result)
-                wall = result["metrics"]["wall_s"]["value"]
-                print(f"{workload} seed {seed} {side}: correct={result['correct']} "
-                      f"wall_s {wall:.4g}", flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for workload in args.workloads:
+            for i, seed in enumerate(args.seeds):
+                order = list(sides) if i % 2 == 0 else list(sides)[::-1]
+                for side in order:
+                    result, records[side] = run_once(sides[side], workload, seed,
+                                                     args.seconds, Path(tmp) / side)
+                    results[side][workload].append(result)
+                    wall = result["metrics"]["wall_s"]["value"]
+                    print(f"{workload} seed {seed} {side}: correct={result['correct']} "
+                          f"wall_s {wall:.4g}", flush=True)
 
     doc = {"seconds": args.seconds, "seeds": args.seeds,
            "order": "the side run first alternates from seed to seed, head first",

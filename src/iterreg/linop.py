@@ -4,7 +4,9 @@ Operators map flat float vectors to flat float vectors. A matrix variable over a
 p1 x p2 grid is identified with a vector of length p1*p2 in row-major order, so
 matrix-valued problems reuse the vector machinery unchanged. Every operator
 also maps a stack of B such vectors, held as the columns of a (dim, B) array,
-column by column. Operators are immutable after construction;
+column by column. The library holds every stack in Fortran order, each column one
+contiguous vector; :func:`as_vector` makes that copy of a C-ordered stack on the way in.
+Operators are immutable after construction;
 ``apply`` and ``adjoint`` are pure and safe to share across concurrent runs.
 ``_adjoint`` returns a new array that the caller owns and may write into (``step`` does).
 """
@@ -29,9 +31,10 @@ __all__ = [
 def as_vector(x, dim, what="vector", columns=False):
     """Coerce to a float vector of length ``dim``, else raise ContractViolation.
 
-    With ``columns``, a (dim, B) stack of B such vectors as columns is taken too.
+    With ``columns``, a (dim, B) stack of B such vectors as columns is taken too,
+    and returned in Fortran order.
     """
-    v = np.asarray(x, dtype=float)
+    v = np.asarray(x, dtype=float, order="F")
     if v.ndim != 1 and not (columns and v.ndim == 2) or v.shape[0] != dim:
         form = f" or a ({dim}, B) stack" if columns else ""
         raise ContractViolation(
@@ -42,13 +45,12 @@ def as_vector(x, dim, what="vector", columns=False):
 def norms(a):
     """Euclidean norm of a vector (a float) or of each column of a stack, as np.linalg.norm.
 
-    Bit for bit: a C-ordered stack of two or more columns sums its squares row by row.
+    Bit for bit, by its formula: a column of a Fortran-ordered stack sums its squares
+    pairwise along its contiguous run.
     """
     if a.ndim == 1:
         return math.sqrt(a @ a)
-    if a.flags.c_contiguous and a.shape[1] > 1:  # one pass, in add.reduce's row-by-row order
-        return np.sqrt(np.einsum("ij,ij->j", a, a))
-    return np.sqrt(np.add.reduce(a * a, axis=0))  # pairwise along a contiguous column
+    return np.sqrt(np.add.reduce(a * a, axis=0))
 
 
 class LinearOperator:
@@ -143,11 +145,13 @@ class DenseOperator(LinearOperator):
         self.matrix = a
         super().__init__(a.shape[1], a.shape[0])
 
+    # a stack goes through its C-ordered (B, dim) transpose, so that BLAS packs the matrix
+    # as it is stored; the product comes back a Fortran-ordered stack
     def _apply(self, w):
-        return self.matrix @ w
+        return self.matrix @ w if w.ndim == 1 else (w.T @ self.matrix.T).T
 
     def _adjoint(self, theta):
-        return self.matrix.T @ theta
+        return self.matrix.T @ theta if theta.ndim == 1 else (theta.T @ self.matrix).T
 
     def columns(self, idx):
         return self.matrix[:, np.asarray(idx, dtype=int)]
@@ -212,12 +216,13 @@ class Grad2D(LinearOperator):
         m, batch = self.p1 * self.p2, theta.shape[1:]
         a = theta[:m].reshape(self.p1, self.p2, *batch)
         b = theta[m:].reshape(self.p1, self.p2, *batch)
-        out = np.zeros((self.p1, self.p2, *batch))
-        out[1:, :] += a[:-1, :]
-        out[:-1, :] -= a[:-1, :]
-        out[:, 1:] += b[:, :-1]
-        out[:, :-1] -= b[:, :-1]
-        return out.reshape(m, *batch)
+        out = np.zeros((m, *batch), order="F")
+        grid = out.reshape(self.p1, self.p2, *batch)  # a view of out
+        grid[1:, :] += a[:-1, :]
+        grid[:-1, :] -= a[:-1, :]
+        grid[:, 1:] += b[:, :-1]
+        grid[:, :-1] -= b[:, :-1]
+        return out
 
 
 _NORM_SEED, _NORM_TOL, _NORM_MAX_ITER = 0, 1e-6, 1000  # op_norm's start draw, relative stop, steps

@@ -131,9 +131,10 @@ class PdState:
 def initial_state(X, batch=()):
     """The all-zero state at k = 0: vectors, or B columns for ``batch`` = (B,)."""
     batch = tuple(batch)
-    return PdState(w=np.zeros((X.in_dim, *batch)), theta=np.zeros((X.out_dim, *batch)),
-                   theta_prev=np.zeros((X.out_dim, *batch)), k=0,
-                   xw=np.zeros((X.out_dim, *batch)))
+    return PdState(w=np.zeros((X.in_dim, *batch), order="F"),
+                   theta=np.zeros((X.out_dim, *batch), order="F"),
+                   theta_prev=np.zeros((X.out_dim, *batch), order="F"), k=0,
+                   xw=np.zeros((X.out_dim, *batch), order="F"))
 
 
 def step(state, X, J, y_obs, cfg):
@@ -291,7 +292,8 @@ class _Recorder:
         self.needs_jw = not asked.isdisjoint(("j_val", "gap", "bregman"))
         readers = {"w": (X.in_dim, "dist_avg_ref", "gap_avg"), "theta": (X.out_dim, "gap_avg"),
                    "xw": (X.out_dim, "res_avg_clean", "gap_avg")}
-        self.sums = {name: np.zeros((dim, *batch)) for name, (dim, *cols) in readers.items()
+        self.sums = {name: np.zeros((dim, *batch), order="F")
+                     for name, (dim, *cols) in readers.items()
                      if not asked.isdisjoint(cols)}
         if reference is not None:
             # reference vectors as one column, to line up with each column of a stack

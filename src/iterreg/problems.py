@@ -170,7 +170,7 @@ class _TvLift(LinearOperator):
 
     def _apply(self, w):
         img, n = self.X.in_dim, self.X.out_dim
-        out = np.zeros((self.out_dim, *w.shape[1:]))
+        out = np.zeros((self.out_dim, *w.shape[1:]), order="F")
         out[:n] += self.X._apply(w[:img])
         out[n:] += self.grad._apply(w[:img])
         out[n:] -= w[img:]
@@ -178,7 +178,7 @@ class _TvLift(LinearOperator):
 
     def _adjoint(self, theta):
         img, n = self.X.in_dim, self.X.out_dim
-        out = np.zeros((self.in_dim, *theta.shape[1:]))
+        out = np.zeros((self.in_dim, *theta.shape[1:]), order="F")
         out[:img] += self.X._adjoint(theta[:n])
         out[:img] += self.grad._adjoint(theta[n:])
         out[img:] -= theta[n:]

@@ -1,4 +1,8 @@
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -83,3 +87,43 @@ def test_a_median_gain_within_the_base_quartile_distance_shows_no_gain(bench_rec
     assert entry["head_wins"] == {"peak_rss_mb": 10}
     assert gain == pytest.approx(0.01) and base["q3"] - base["q1"] == pytest.approx(0.015)
     assert entry["shown"] == {"peak_rss_mb": False}
+
+
+def test_each_side_runs_with_its_own_fresh_bytecode_prefix(bench_record, tmp_path, monkeypatch):
+    """Python reads a checkout's ``__pycache__`` even under PYTHONDONTWRITEBYTECODE.
+
+    So each side writes its bytecode under its own temporary PYTHONPYCACHEPREFIX,
+    outside both checkouts, and a stale cache in one of them favours neither side.
+    """
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    head, base = (tmp_path / "head").resolve(), (tmp_path / "base").resolve()
+    for checkout in (head, base):
+        (checkout / "benchmark").mkdir(parents=True)
+        (checkout / "benchmark" / "run.py").touch()
+    (head / "BENCHMARK.json").write_text(json.dumps(
+        {"workloads": [{"name": "w"}], "end_to_end": [{"name": "wall_s", "better": "lower"}],
+         "run_seconds": 1}))
+    prefixes = {}
+
+    def fake_run(cmd, cwd, env, **kwargs):
+        assert env["PATH"] == os.environ["PATH"]  # the rest of the environment is inherited
+        assert "PYTHONDONTWRITEBYTECODE" not in env
+        prefixes.setdefault(cwd, set()).add(Path(env["PYTHONPYCACHEPREFIX"]))
+        results = cwd / ".bench_out" / "results"
+        results.mkdir(parents=True, exist_ok=True)
+        seed = cmd[cmd.index("--seed") + 1]
+        (results / f"w-seed{seed}-trace0.json").write_text(
+            json.dumps({"git_revision": "x", "env": {}, "pinned": {}}))
+        return subprocess.CompletedProcess(cmd, 0, stdout=json.dumps(result(1.0, 1.0)) + "\n")
+
+    monkeypatch.setattr(bench_record, "ROOT", head)
+    monkeypatch.setattr(bench_record.subprocess, "run", fake_run)
+    monkeypatch.setattr(sys, "argv", ["bench_record.py", "--out", str(tmp_path / "out.json"),
+                                      "--base", str(base), "--seeds", "1", "2", "3"])
+    bench_record.main()
+    assert set(prefixes) == {head, base}
+    (head_prefix,), (base_prefix,) = prefixes[head], prefixes[base]
+    assert head_prefix != base_prefix
+    for prefix in (head_prefix, base_prefix):
+        assert not (prefix.is_relative_to(head) or prefix.is_relative_to(base))
+        assert not prefix.exists()  # a temporary directory, removed with the record

@@ -214,14 +214,30 @@ def test_stack_matches_columns():
     for op in (dense, mask, grad, lifted):
         W = rng.standard_normal((op.in_dim, 4))
         T = rng.standard_normal((op.out_dim, 4))
-        for got, want in ((op.apply(W), [op.apply(W[:, b]) for b in range(4)]),
-                          (op.adjoint(T), [op.adjoint(T[:, b]) for b in range(4)])):
+        for got, got_f, want in (
+                (op.apply(W), op.apply(np.asfortranarray(W)),
+                 [op.apply(W[:, b]) for b in range(4)]),
+                (op.adjoint(T), op.adjoint(np.asfortranarray(T)),
+                 [op.adjoint(T[:, b]) for b in range(4)])):
+            # a C- and an F-ordered stack map to the same values, as an F-ordered stack
+            assert np.array_equal(got, got_f)
+            assert got.flags.f_contiguous and got_f.flags.f_contiguous
             want = np.stack(want, axis=1)
             assert got.shape == want.shape
             if op in (mask, grad, lifted):  # elementwise: the same products and differences
                 assert np.array_equal(got, want)
             else:  # matrix products against matrix-vector products
                 assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_dense_vector_products_are_the_matrix_vector_products():
+    """Only a stack takes the transposed products: a vector keeps the bits of M @ w, M.T @ t."""
+    rng = np.random.default_rng(12)
+    M = rng.standard_normal((200, 500))
+    op = DenseOperator(M)
+    for _ in range(5):
+        w, t = rng.standard_normal(500), rng.standard_normal(200)
+        assert np.array_equal(op.apply(w), M @ w) and np.array_equal(op.adjoint(t), M.T @ t)
 
 
 @pytest.mark.parametrize("batch", [2, 6, 300])

@@ -333,6 +333,27 @@ class TestIterate:
                 assert got.shape == want.shape and np.array_equal(got, want), st.k
         assert st.k == 50
 
+    @pytest.mark.parametrize("kind", ["dense-l1", "mask-nuclear", "tv-lift"])
+    def test_a_stack_runs_in_fortran_order_with_the_same_bits_from_either_order(self, kind):
+        if kind == "dense-l1":
+            prob = gen_sparse(n=20, p=40, s=4, seed=1)
+            X, J, y = prob.X, L1(), prob.y
+        elif kind == "mask-nuclear":
+            prob = gen_matcomp(d=6, r=2, obs_frac_denom=2, y_norm=6.0, seed=2)
+            X, J, y = prob.X, Nuclear(6, 6), prob.y
+        else:
+            observe = MaskOperator((3, 4), [(0, 0), (0, 3), (1, 1), (2, 0), (2, 2)])
+            X, J, y = tv_reformulate(observe, observe.apply(np.arange(12.0) % 5), 3, 4)
+        Y = y[:, None] + 0.5 * np.random.default_rng(9).standard_normal((y.size, 4))
+        cfg = make_config(X, max_iter=30)
+        runs = [iterate(X, J, np.asarray(Y, order=order), cfg) for order in "CF"]
+        for c, f in zip(*runs):
+            for name in ("w", "theta", "theta_prev", "xw"):
+                a, b = getattr(c, name), getattr(f, name)
+                assert a.flags.f_contiguous and b.flags.f_contiguous, (name, c.k)
+                assert np.array_equal(a, b), (name, c.k)
+        assert c.k == f.k == 30
+
 
 class TestRecordedWalk:
     def test_recorded_iterations_is_an_int_array_ending_at_the_budget(self):

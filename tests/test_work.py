@@ -1,11 +1,12 @@
 """Work counts: operator products and prox calls per command, exact and machine-independent.
 
 Timings move by 10-20% from run to run; the number of ``LinearOperator.apply`` and
-``adjoint`` calls and of ``L1.prox`` calls a command makes does not move at all, and it
-is what a change to a hot path moves when it adds work. For ``run_stoptime``, whose
-runs go as the columns of one stack, the table also counts the columns these calls
-carry. The table of these counts is ``tests/work_counts.json``. A change whose work
-moves on purpose says why and rewrites the table with
+``adjoint`` calls and of ``L1.prox`` and ``Nuclear.prox`` calls (counted together as
+``prox``) a command makes does not move at all, and it is what a change to a hot path
+moves when it adds work. For the batched commands ``run_stoptime``, ``run_semiconv``
+and ``run_matcomp``, whose runs go as the columns of one stack, the table also counts
+the columns these calls carry. The table of these counts is ``tests/work_counts.json``.
+A change whose work moves on purpose says why and rewrites the table with
 ``PYTHONPATH=src python3 tests/test_work.py``.
 
 The products that ``op_norm`` makes through the private ``_apply`` and ``_adjoint`` are
@@ -19,21 +20,27 @@ from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
+import pytest
 
 from iterreg import experiments
-from iterreg.bias import L1
-from iterreg.experiments import ExperimentSpec, run_pathcmp, run_stoptime
+from iterreg.bias import L1, Nuclear
+from iterreg.experiments import (ExperimentSpec, run_matcomp, run_pathcmp, run_semiconv,
+                                 run_stoptime)
 from iterreg.linop import LinearOperator
 
 from conftest import PATHCMP_GOLDEN
 
 TABLE = Path(__file__).with_name("work_counts.json")
-# the counted methods, each by its name, the class that defines it and the position of
+# the counted methods, each by its name, the classes that define it and the position of
 # the vector or stack it takes among its arguments
-COUNTED = {"apply": (LinearOperator, 0), "adjoint": (LinearOperator, 0), "prox": (L1, 1)}
-# the stoptime run: two noise levels, two replicates, 200 iterations, a small instance
-STOPTIME = {"deltas": (0.5, 2.0), "replicates": 2, "max_iter": 200,
-            "problem": {"n": 40, "p": 100, "s": 8, "corr": 0.2, "y_norm": 8.0}}
+COUNTED = {"apply": ((LinearOperator,), 0), "adjoint": ((LinearOperator,), 0),
+           "prox": ((L1, Nuclear), 1)}
+# the batched runs: two noise levels, two replicates, 200 iterations, a small instance
+SPARSE = {"n": 40, "p": 100, "s": 8, "corr": 0.2, "y_norm": 8.0}
+BATCHED = {"stoptime": (run_stoptime, {"deltas": (0.5, 2.0), "problem": SPARSE}),
+           "semiconv": (run_semiconv, {"deltas": (0.6, 2.4), "problem": SPARSE}),
+           "matcomp": (run_matcomp, {"deltas": (2.0, 8.0), "problem": {
+               "d": 8, "r": 2, "obs_frac_denom": 3, "y_norm": 6.0}})}
 
 
 def _counted(calls, columns, name, method, position):
@@ -53,9 +60,10 @@ def counting():
     """
     calls, columns = Counter(dict.fromkeys(COUNTED, 0)), Counter(dict.fromkeys(COUNTED, 0))
     with ExitStack() as stack:
-        for name, (cls, position) in COUNTED.items():
-            stack.enter_context(patch.object(
-                cls, name, _counted(calls, columns, name, getattr(cls, name), position)))
+        for name, (classes, position) in COUNTED.items():
+            for cls in classes:
+                stack.enter_context(patch.object(
+                    cls, name, _counted(calls, columns, name, getattr(cls, name), position)))
         yield calls, columns
 
 
@@ -74,10 +82,12 @@ def pathcmp_work(out_dir):
     return {"total": dict(total), "lasso_path": dict(in_path)}
 
 
-def stoptime_work(out_dir):
-    """The calls and columns of ``run_stoptime`` at ``STOPTIME``, its certificate included."""
+def batched_work(name, out_dir):
+    """The calls and columns of the ``BATCHED`` run ``name``, its certificate included."""
+    run_command, params = BATCHED[name]
     with counting() as (calls, columns):
-        run_stoptime(ExperimentSpec(name="stoptime", out_dir=out_dir, **STOPTIME))
+        run_command(ExperimentSpec(name=name, out_dir=out_dir, replicates=2, max_iter=200,
+                                   **params))
     return {"calls": dict(calls), "columns": dict(columns)}
 
 
@@ -85,8 +95,9 @@ def test_pathcmp_work_matches_the_table(tmp_path):
     assert pathcmp_work(tmp_path / "pathcmp") == json.loads(TABLE.read_text())["pathcmp"]
 
 
-def test_stoptime_work_matches_the_table(tmp_path):
-    assert stoptime_work(tmp_path / "stoptime") == json.loads(TABLE.read_text())["stoptime"]
+@pytest.mark.parametrize("name", BATCHED)
+def test_batched_work_matches_the_table(name, tmp_path):
+    assert batched_work(name, tmp_path / name) == json.loads(TABLE.read_text())[name]
 
 
 if __name__ == "__main__":
@@ -94,5 +105,5 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         table = {"pathcmp": pathcmp_work(Path(tmp) / "pathcmp"),
-                 "stoptime": stoptime_work(Path(tmp) / "stoptime")}
+                 **{name: batched_work(name, Path(tmp) / name) for name in BATCHED}}
     TABLE.write_text(json.dumps(table, indent=1) + "\n")
