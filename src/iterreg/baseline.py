@@ -74,7 +74,6 @@ class PathResult:
     solutions: list
     inner_iters: list
     objectives: list
-    converged: list
     nnz: list
 
     def write_csv(self, path):
@@ -90,8 +89,7 @@ def lasso_path(X, y, grid, tol=1e-8, max_iter=20000):
     J = L1()
     y = as_vector(y, X.out_dim, "y")
     w = np.zeros(X.in_dim)
-    out = PathResult(lambdas=[], solutions=[], inner_iters=[], objectives=[], converged=[],
-                     nnz=[])
+    out = PathResult(lambdas=[], solutions=[], inner_iters=[], objectives=[], nnz=[])
     for lam in grid:
         sol = solve_tikhonov(X, J, y, lam, w_init=w, tol=tol, max_iter=max_iter)
         w = sol.w
@@ -100,6 +98,5 @@ def lasso_path(X, y, grid, tol=1e-8, max_iter=20000):
         out.solutions.append(w.copy())
         out.inner_iters.append(sol.iters)
         out.objectives.append(float(lam * J(w) + r @ r))
-        out.converged.append(sol.converged)
         out.nnz.append(int(np.count_nonzero(w)))
     return out

@@ -145,13 +145,13 @@ class DenseOperator(LinearOperator):
         self.matrix = a
         super().__init__(a.shape[1], a.shape[0])
 
-    # a stack goes through its C-ordered (B, dim) transpose, so that BLAS packs the matrix
-    # as it is stored; the product comes back a Fortran-ordered stack
+    # a stack goes through its C-ordered (B, dim) transpose, so that BLAS packs the matrix as
+    # stored, and comes back Fortran-ordered; a vector keeps the bits of M @ w and M.T @ t
     def _apply(self, w):
-        return self.matrix @ w if w.ndim == 1 else (w.T @ self.matrix.T).T
+        return (w.T @ self.matrix.T).T
 
     def _adjoint(self, theta):
-        return self.matrix.T @ theta if theta.ndim == 1 else (theta.T @ self.matrix).T
+        return (theta.T @ self.matrix).T
 
     def columns(self, idx):
         return self.matrix[:, np.asarray(idx, dtype=int)]

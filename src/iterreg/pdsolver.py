@@ -9,8 +9,8 @@ with w_0 = 0 and theta_0 = theta_{-1} = 0, and step sizes
 constrained by sigma * tau * ||X||^2 <= epsilon < 1.
 
 ``iterate`` yields the states k = 0..max_iter and is the one loop over
-``step``; ``recorded`` is the one walk over them, yielding the states at the
-k of ``recorded_iterations`` that ``run`` records and ``certify`` checks.
+``step``; ``run`` records, and ``certify`` checks through ``recorded``, the
+states at the k of ``recorded_iterations``.
 ``y_obs`` is one data vector or an (n, B) stack of B right-hand sides; a
 stack runs as the B columns of one iteration, w and theta becoming (p, B)
 and (n, B) arrays, and every update acts column by column.
@@ -272,78 +272,6 @@ class IterateLog:
         return len(self._k)
 
 
-class _Recorder:
-    """Fills the asked-for log columns at the recorded iterations, all columns of a stack at once.
-
-    Values go into arrays preallocated for the k of :func:`recorded_iterations`;
-    the gap columns are raw values of :func:`~iterreg.metrics.raw_gap`, and the
-    bregman column is the Bregman divergence at -X^T theta*. It computes only
-    what its columns read: J(w), J of the averaged w, the reference terms, and
-    the running sums of w, theta and X w over k >= 1, which :meth:`summed`
-    keeps from every state.
-    """
-
-    def __init__(self, X, J, y_obs, cfg, reference, columns):
-        self.J, self.y_obs = J, y_obs
-        self.ks = recorded_iterations(cfg.record_every, cfg.max_iter)
-        batch = y_obs.shape[1:]
-        self.values = {c: np.full((len(self.ks), *batch), np.nan) for c in columns}
-        asked = set(columns)
-        self.needs_jw = not asked.isdisjoint(("j_val", "gap", "bregman"))
-        readers = {"w": (X.in_dim, "dist_avg_ref", "gap_avg"), "theta": (X.out_dim, "gap_avg"),
-                   "xw": (X.out_dim, "res_avg_clean", "gap_avg")}
-        self.sums = {name: np.zeros((dim, *batch), order="F")
-                     for name, (dim, *cols) in readers.items()
-                     if not asked.isdisjoint(cols)}
-        if reference is not None:
-            # reference vectors as one column, to line up with each column of a stack
-            col = (-1, 1) if batch else (-1,)
-            self.y_clean = reference.y.reshape(col)
-            self.w_star = reference.w_star.reshape(col)
-            self.ref = _Reference(reference, X, J)
-
-    def summed(self, states):
-        """Yield ``states``, each added to the running sums once k >= 1."""
-        for state in states:
-            if state.k > 0:
-                for name, total in self.sums.items():
-                    total += getattr(state, name)
-            yield state
-
-    def _gap(self, jw, xw, theta):
-        ref = self.ref
-        return raw_gap(jw, xw, theta, ref.j_star, ref.cert.theta_star, self.y_clean, ref.r_star)
-
-    def record(self, row, state):
-        w, theta, xw, k = state.w, state.theta, state.xw, state.k
-        # at k = 0 the averages are the initial point itself
-        avg = {name: getattr(state, name) if k == 0 else total / k
-               for name, total in self.sums.items()}
-        jw = self.J(w) if self.needs_jw else None
-        formulas = {
-            "res_clean": lambda: norms(xw - self.y_clean),
-            "res_noisy": lambda: norms(xw - self.y_obs),
-            "j_val": lambda: jw,
-            "dist_ref": lambda: norms(w - self.w_star),
-            "gap": lambda: self._gap(jw, xw, theta),
-            "bregman": lambda: _bregman(jw, self.ref.j_star, w, self.w_star, self.ref.g_star),
-            "res_avg_clean": lambda: norms(avg["xw"] - self.y_clean),
-            "dist_avg_ref": lambda: norms(avg["w"] - self.w_star),
-            "gap_avg": lambda: self._gap(self.J(avg["w"]), avg["xw"], avg["theta"]),
-        }
-        for name, out in self.values.items():
-            out[row] = formulas[name]()
-
-    def logs(self):
-        """One log for a vector; for a stack, the list of the logs of its columns."""
-        for a in (self.ks, *self.values.values()):
-            a.setflags(write=False)
-        if self.y_obs.ndim == 1:
-            return IterateLog(self.ks, **self.values)
-        return [IterateLog(self.ks, **{c: a[:, b] for c, a in self.values.items()})
-                for b in range(self.y_obs.shape[1])]
-
-
 def _log_columns(columns, reference):
     """The asked-for columns in ``LOG_COLUMNS`` order, None asking for all the reference allows."""
     computable = LOG_COLUMNS[1:] if reference is not None else ("res_noisy", "j_val")
@@ -363,19 +291,64 @@ def run(X, J, y_obs, cfg, reference=None, columns=None):
     Diagnostics are recorded at the iterations of :func:`recorded_iterations`:
     k = 0, every ``cfg.record_every`` iterations, and the final iteration.
     ``columns`` names the columns computed besides ``k``, the others staying
-    NaN; None asks for all that the arguments allow.
-    Every column but ``res_noisy`` and ``j_val`` needs ``reference``: it is
-    measured against the certificate and the clean data it carries. The gap
-    columns store the plain Lagrangian difference without clamping. For an (n, B)
-    stack ``y_obs`` the B columns run as one batched iteration and the result
-    is the list of their B logs, in column order.
+    NaN; None asks for all that the arguments allow. Every column but
+    ``res_noisy`` and ``j_val`` needs ``reference``: it is measured against the
+    certificate and the clean data it carries. The gap columns are raw values of
+    :func:`~iterreg.metrics.raw_gap`, unclamped, and ``bregman`` is the Bregman
+    divergence at -X^T theta*. Only what the asked columns read is computed: J(w),
+    J of the averaged w, the reference terms, and the sums of w, theta and X w over
+    k >= 1 that the averages divide by k (at k = 0 they are the initial point).
+    For an (n, B) stack ``y_obs`` the B columns run as one batched iteration and
+    the result is the list of their B logs, in column order.
     """
     columns = _log_columns(columns, reference)
     y_obs = as_vector(y_obs, X.out_dim, "y_obs", columns=True)
-    rec = _Recorder(X, J, y_obs, cfg, reference, columns)
-    for row, state in enumerate(recorded(rec.summed(iterate(X, J, y_obs, cfg)), rec.ks)):
-        rec.record(row, state)
-    return rec.logs()
+    ks = recorded_iterations(cfg.record_every, cfg.max_iter)
+    batch = y_obs.shape[1:]
+    values = {c: np.full((len(ks), *batch), np.nan) for c in columns}
+    needs_jw = not {"j_val", "gap", "bregman"}.isdisjoint(columns)
+    readers = {"w": (X.in_dim, "dist_avg_ref", "gap_avg"), "theta": (X.out_dim, "gap_avg"),
+               "xw": (X.out_dim, "res_avg_clean", "gap_avg")}
+    sums = {name: np.zeros((dim, *batch), order="F")
+            for name, (dim, *cols) in readers.items() if not set(cols).isdisjoint(columns)}
+    if reference is not None:
+        # reference vectors as one column, to line up with each column of a stack
+        col = (-1, 1) if batch else (-1,)
+        y_clean, w_star = reference.y.reshape(col), reference.w_star.reshape(col)
+        ref = _Reference(reference, X, J)
+
+        def gap(jw, xw, theta):
+            return raw_gap(jw, xw, theta, ref.j_star, reference.theta_star, y_clean, ref.r_star)
+
+    # each column from the state s, its J(w) and the averages of the summed arrays
+    formulas = {
+        "res_clean": lambda s, jw, avg: norms(s.xw - y_clean),
+        "res_noisy": lambda s, jw, avg: norms(s.xw - y_obs),
+        "j_val": lambda s, jw, avg: jw,
+        "dist_ref": lambda s, jw, avg: norms(s.w - w_star),
+        "gap": lambda s, jw, avg: gap(jw, s.xw, s.theta),
+        "bregman": lambda s, jw, avg: _bregman(jw, ref.j_star, s.w, w_star, ref.g_star),
+        "res_avg_clean": lambda s, jw, avg: norms(avg["xw"] - y_clean),
+        "dist_avg_ref": lambda s, jw, avg: norms(avg["w"] - w_star),
+        "gap_avg": lambda s, jw, avg: gap(J(avg["w"]), avg["xw"], avg["theta"]),
+    }
+    row = 0
+    for state in iterate(X, J, y_obs, cfg):
+        if state.k > 0:
+            for name, total in sums.items():
+                total += getattr(state, name)
+        if state.k == ks[row]:  # the last state is the last recorded one
+            avg = {name: getattr(state, name) if state.k == 0 else total / state.k
+                   for name, total in sums.items()}
+            jw = J(state.w) if needs_jw else None
+            for name, out in values.items():
+                out[row] = formulas[name](state, jw, avg)
+            row += 1
+    for a in (ks, *values.values()):
+        a.setflags(write=False)
+    if not batch:
+        return IterateLog(ks, **values)
+    return [IterateLog(ks, **{c: a[:, b] for c, a in values.items()}) for b in range(batch[0])]
 
 
 def certify(X, J, y, cfg=None, feas_tol=None, subgrad_tol=1e-6, check_every=50):

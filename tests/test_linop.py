@@ -8,9 +8,12 @@ from iterreg import (
     DenseOperator,
     Grad2D,
     MaskOperator,
+    gen_matcomp,
+    gen_sparse,
     op_norm,
     tv_reformulate,
 )
+from iterreg.experiments import child_seed
 from iterreg.linop import norms
 
 from conftest import identity, power_norm
@@ -96,6 +99,41 @@ def test_adjoint_consistency_dense_hypothesis(mat, w, th):
     assert abs(lhs - rhs) <= 1e-10 * (1.0 + np.linalg.norm(w) * np.linalg.norm(th))
 
 
+def _pathcmp_training_folds(seed, n, p, s, folds, **params):
+    """The training designs of ``run_pathcmp``'s folds, split as it splits them."""
+    Xm = gen_sparse(n=n, p=p, s=s, seed=seed, **params).X.matrix
+    perm = np.random.default_rng(child_seed(seed, 23)).permutation(n)
+    designs = []
+    for test_idx in np.array_split(perm, folds):
+        train = np.ones(n, dtype=bool)
+        train[test_idx] = False
+        designs.append(DenseOperator(Xm[train]))
+    return designs
+
+
+def _tv_demo_lift(seed, p1, p2, obs_frac):
+    """The lifted operator of ``run_tvdemo``, on its mask of observed cells."""
+    rng = np.random.default_rng(child_seed(seed, 29))
+    flat = rng.choice(p1 * p2, size=max(1, int(round(obs_frac * p1 * p2))), replace=False)
+    mask = MaskOperator((p1, p2), [(int(f) // p2, int(f) % p2) for f in flat])
+    return tv_reformulate(mask, np.zeros(p1 * p2), p1, p2)[0]
+
+
+# the designs the commands run at their defaults (seed 0) and at the flags of
+# scripts/cli_outputs.py's second pass (seed 1), and the 4x8 designs of criterion 1
+SHIPPED = {
+    "sparse-default": lambda: [gen_sparse().X],
+    "sparse-golden": lambda: [gen_sparse(n=30, p=60, s=5, corr=0.3, y_norm=6.0, seed=1).X],
+    "pathcmp-default": lambda: _pathcmp_training_folds(0, 400, 800, 120, 4),
+    "pathcmp-golden": lambda: _pathcmp_training_folds(1, 40, 80, 6, 2, corr=0.3, y_norm=6.0),
+    "criterion-1": lambda: [DenseOperator(np.random.default_rng(1000 + t).standard_normal((4, 8)))
+                            for t in range(50)],
+    "matcomp-default": lambda: [gen_matcomp().X],
+    "tv-demo-default": lambda: [_tv_demo_lift(0, 8, 8, 0.6)],
+    "tv-demo-golden": lambda: [_tv_demo_lift(1, 4, 5, 0.7)],
+}
+
+
 class TestOpNorm:
     def test_identity(self):
         assert op_norm(identity(7)) == pytest.approx(1.0, rel=1e-6)
@@ -125,6 +163,16 @@ class TestOpNorm:
         for op in random_operators(np.random.default_rng(4)):
             assert op.norm_est() == 1.01 * op_norm(op), op
             assert op.norm_est() is op.norm_est(), op
+
+    @pytest.mark.parametrize("name", list(SHIPPED))
+    def test_norm_est_bounds_the_norm_of_every_shipped_instance(self, name):
+        """The step-size condition sigma*tau*||X||^2 <= epsilon needs norm_est() >= ||X||.
+
+        Power iteration only bounds the norm from below, so the 1.01 factor makes this
+        true by measurement, not by proof; these are the designs the commands run.
+        """
+        for op in SHIPPED[name]():
+            assert op.norm_est() >= np.linalg.norm(op.as_matrix(), 2), op
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_equals_the_np_linalg_norm_iteration(self, seed):
@@ -231,7 +279,7 @@ def test_stack_matches_columns():
 
 
 def test_dense_vector_products_are_the_matrix_vector_products():
-    """Only a stack takes the transposed products: a vector keeps the bits of M @ w, M.T @ t."""
+    """A vector takes the transposed products of a stack and keeps the bits of M @ w, M.T @ t."""
     rng = np.random.default_rng(12)
     M = rng.standard_normal((200, 500))
     op = DenseOperator(M)
