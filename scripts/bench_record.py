@@ -25,7 +25,8 @@ benchmark's worker. Each side writes and reads its bytecode under its own
 either checkout (it reads one even under ``PYTHONDONTWRITEBYTECODE``), and both
 sides start from an empty cache that their first round fills. Workloads and seeds
 default to all of ``BENCHMARK.json``'s workloads and seeds 1 to 10, the run length
-to its ``run_seconds``.
+to its ``run_seconds``. Having written the file, the script exits 1 if a round of
+this checkout was incorrect.
 """
 
 from __future__ import annotations
@@ -152,7 +153,11 @@ def main():
                      for side, path in sides.items()},
            "workloads": summarize(results, better)}
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    wrong = [w for w, entry in doc["workloads"].items() if not entry["head"]["correct"]]
+    for workload in wrong:
+        print(f"{workload}: a round of this checkout was incorrect")
+    return 1 if wrong else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -1,6 +1,6 @@
 """Iterative regularization of convex-bias interpolation by primal-dual steps."""
 
-from .bias import Bias, L1, Nuclear, SqL2, soft_threshold, subgradient_residual
+from .bias import Bias, L1, Nuclear, SqL2, subgradient_residual
 from .errors import (
     AssumptionViolated,
     BoundViolation,

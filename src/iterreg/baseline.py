@@ -42,10 +42,10 @@ class TikhonovSolution:
 def solve_tikhonov(X, J, y, lam, w_init=None, tol=1e-8, max_iter=20000):
     """Proximal-gradient solve of lam*J(w) + ||y - X w||^2.
 
-    Step size 1/nu^2 for the safe norm bound nu = ``X.norm_est()``, prox scale
-    lam*step/2 to match the unhalved data term. Stops when the update is
-    below tol*(1 + ||w||); if the budget runs out the last iterate is
-    returned flagged as non-converged.
+    Step size 1/nu^2 for the norm bound nu = ``X.norm_est()`` (tested on the
+    shipped designs, not proven), prox scale lam*step/2 to match the unhalved
+    data term. Stops when the update is below tol*(1 + ||w||); if the budget
+    runs out the last iterate is returned flagged as non-converged.
     """
     if lam <= 0:
         raise ContractViolation(f"penalty must be positive, got {lam}")

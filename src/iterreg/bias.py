@@ -18,12 +18,7 @@ import numpy as np
 from .errors import ContractViolation
 from .linop import as_vector, norms
 
-__all__ = ["Bias", "L1", "SqL2", "Nuclear", "soft_threshold", "subgradient_residual"]
-
-
-def soft_threshold(v, t):
-    """Componentwise shrinkage sign(v) * max(|v| - t, 0); for t > 0, |v_i| <= t maps to +0.0."""
-    return v - np.minimum(np.maximum(v, -t), t)
+__all__ = ["Bias", "L1", "SqL2", "Nuclear", "subgradient_residual"]
 
 
 def subgradient_residual(J, w, g):
@@ -70,8 +65,10 @@ class L1(Bias):
         return _per_column(np.ascontiguousarray(a.T).sum(axis=-1))
 
     def prox(self, tau, v):
+        """Componentwise sign(v) * max(|v| - tau, 0); for tau > 0, |v_i| <= tau maps to +0.0."""
         _check_tau(tau)
-        return soft_threshold(np.asarray(v, dtype=float), tau)
+        v = np.asarray(v, dtype=float)
+        return v - np.minimum(np.maximum(v, -tau), tau)
 
     def polish(self, X, y, w, theta):
         """The exact pair on the support S and signs s of ``w``, or None.

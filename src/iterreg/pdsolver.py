@@ -100,8 +100,8 @@ class SolverConfig:
 def make_config(X, epsilon=0.99, max_iter=5000, record_every=1):
     """Build a SolverConfig with tau = sigma = sqrt(epsilon)/nu.
 
-    Here nu is ``X.norm_est()``, a safe upper bound on ||X||, so that
-    sigma*tau*||X||^2 <= epsilon holds.
+    Here nu is ``X.norm_est()``, an upper bound on ||X|| (tested on the shipped
+    designs, not proven), so that sigma*tau*||X||^2 <= epsilon holds.
     """
     nu = X.norm_est()
     if nu == 0.0:

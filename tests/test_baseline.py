@@ -10,7 +10,6 @@ from iterreg import (
     gen_sparse,
     lambda_grid,
     lasso_path,
-    soft_threshold,
     solve_tikhonov,
 )
 
@@ -61,7 +60,7 @@ class TestSolveTikhonov:
         for lam in (0.5, 1.0, 4.0):
             sol = solve_tikhonov(identity(4), L1(), y, lam, tol=1e-12)
             assert sol.converged
-            assert np.allclose(sol.w, soft_threshold(y, lam / 2.0), atol=1e-10)
+            assert np.allclose(sol.w, L1().prox(lam / 2.0, y), atol=1e-10)
 
     def test_huge_penalty_gives_zero(self):
         rng = np.random.default_rng(0)
@@ -128,7 +127,7 @@ class TestDataAndBudgetChecked:
         grid = lambda_grid(identity(3), y, count=np.int64(3), span_decades=1.0)
         path = lasso_path(identity(3), y, grid, tol=1e-12, max_iter=np.int32(1000))
         assert len(grid) == 3
-        assert np.allclose(path.solutions[-1], soft_threshold(y, grid[-1] / 2.0), atol=1e-9)
+        assert np.allclose(path.solutions[-1], L1().prox(grid[-1] / 2.0, y), atol=1e-9)
 
 
 class TestLassoPath:
@@ -138,7 +137,7 @@ class TestLassoPath:
         grid = lambda_grid(X, y, count=10, span_decades=2.0)
         path = lasso_path(X, y, grid, tol=1e-12)
         for lam, w in zip(path.lambdas, path.solutions):
-            assert np.allclose(w, soft_threshold(y, lam / 2.0), atol=1e-9)
+            assert np.allclose(w, L1().prox(lam / 2.0, y), atol=1e-9)
 
     def test_grid_must_decrease(self):
         with pytest.raises(ContractViolation):

@@ -89,14 +89,13 @@ def test_a_median_gain_within_the_base_quartile_distance_shows_no_gain(bench_rec
     assert entry["shown"] == {"peak_rss_mb": False}
 
 
-def test_each_side_runs_with_its_own_fresh_bytecode_prefix(bench_record, tmp_path, monkeypatch):
-    """Python reads a checkout's ``__pycache__`` even under PYTHONDONTWRITEBYTECODE.
+def fake_checkouts(bench_record, tmp_path, monkeypatch, wrong_side=None):
+    """Two checkouts whose benchmark a fake ``subprocess.run`` runs, ``wrong_side`` incorrectly.
 
-    So each side writes its bytecode under its own temporary PYTHONPYCACHEPREFIX,
-    outside both checkouts, and a stale cache in one of them favours neither side.
+    Returns the two checkouts and, per checkout, the bytecode prefixes its runs were given.
     """
-    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
     head, base = (tmp_path / "head").resolve(), (tmp_path / "base").resolve()
+    checkouts = {"head": head, "base": base}
     for checkout in (head, base):
         (checkout / "benchmark").mkdir(parents=True)
         (checkout / "benchmark" / "run.py").touch()
@@ -114,12 +113,25 @@ def test_each_side_runs_with_its_own_fresh_bytecode_prefix(bench_record, tmp_pat
         seed = cmd[cmd.index("--seed") + 1]
         (results / f"w-seed{seed}-trace0.json").write_text(
             json.dumps({"git_revision": "x", "env": {}, "pinned": {}}))
-        return subprocess.CompletedProcess(cmd, 0, stdout=json.dumps(result(1.0, 1.0)) + "\n")
+        failed = int(seed == "2" and cwd == checkouts.get(wrong_side))
+        return subprocess.CompletedProcess(
+            cmd, 0, stdout=json.dumps(result(1.0, 1.0, failed=failed)) + "\n")
 
     monkeypatch.setattr(bench_record, "ROOT", head)
     monkeypatch.setattr(bench_record.subprocess, "run", fake_run)
     monkeypatch.setattr(sys, "argv", ["bench_record.py", "--out", str(tmp_path / "out.json"),
                                       "--base", str(base), "--seeds", "1", "2", "3"])
+    return head, base, prefixes
+
+
+def test_each_side_runs_with_its_own_fresh_bytecode_prefix(bench_record, tmp_path, monkeypatch):
+    """Python reads a checkout's ``__pycache__`` even under PYTHONDONTWRITEBYTECODE.
+
+    So each side writes its bytecode under its own temporary PYTHONPYCACHEPREFIX,
+    outside both checkouts, and a stale cache in one of them favours neither side.
+    """
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    head, base, prefixes = fake_checkouts(bench_record, tmp_path, monkeypatch)
     bench_record.main()
     assert set(prefixes) == {head, base}
     (head_prefix,), (base_prefix,) = prefixes[head], prefixes[base]
@@ -127,3 +139,13 @@ def test_each_side_runs_with_its_own_fresh_bytecode_prefix(bench_record, tmp_pat
     for prefix in (head_prefix, base_prefix):
         assert not (prefix.is_relative_to(head) or prefix.is_relative_to(base))
         assert not prefix.exists()  # a temporary directory, removed with the record
+
+
+@pytest.mark.parametrize("wrong_side, status", [(None, 0), ("base", 0), ("head", 1)])
+def test_exits_1_after_writing_the_record_when_a_round_of_this_checkout_is_incorrect(
+        bench_record, tmp_path, monkeypatch, wrong_side, status):
+    fake_checkouts(bench_record, tmp_path, monkeypatch, wrong_side)
+    assert bench_record.main() == status
+    entry = json.loads((tmp_path / "out.json").read_text())["workloads"]["w"]
+    assert entry["head"]["correct"] is (wrong_side != "head")
+    assert entry["base"]["correct"] is (wrong_side != "base")

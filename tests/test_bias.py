@@ -8,7 +8,6 @@ from iterreg import (
     L1,
     Nuclear,
     SqL2,
-    soft_threshold,
     subgradient_residual,
     tv_reformulate,
 )
@@ -205,13 +204,13 @@ def test_nuclear_value_is_the_sum_of_svd_singular_values():
 
 def test_soft_threshold_values():
     """Exactly sign(v) * max(|v| - t, 0), NaN where it is NaN; for t > 0 zeros are +0.0."""
-    assert np.array_equal(soft_threshold(np.array([3.0, -0.2, 1.0]), 1.0), [2.0, 0.0, 0.0])
+    assert np.array_equal(L1().prox(1.0, np.array([3.0, -0.2, 1.0])), [2.0, 0.0, 0.0])
     for t in (0.0, 0.75, 1.0, np.inf):
         v = np.array([3.0, -0.2, t, -t, 0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300, -2.5,
                       np.nextafter(t, np.inf), np.nextafter(-t, -np.inf)])
         for arr in (v, np.stack([v, -v[::-1], 2.0 * v], axis=1)):
             with np.errstate(invalid="ignore"):  # inf - inf at t = inf, in both formulas
-                out = soft_threshold(arr, t)
+                out = L1().prox(t, arr)
                 want = np.sign(arr) * np.maximum(np.abs(arr) - t, 0.0)
             assert np.array_equal(out, want, equal_nan=True), t
             if t > 0:
